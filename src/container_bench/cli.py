@@ -1,14 +1,18 @@
 """Command-line workbench wiring all modules together.
 
 Exit-code contract: 0 on success, 1 when a verifier finds a counterexample
-(the record is serialized before exiting), 2 on usage, validation, or work-cap
-errors.  CI can therefore tell "bound falsified" apart from "tool misuse".
+(the record is serialized before exiting), 2 on usage, validation, corpus
+layout, or work-cap errors, including a worker count (--workers or
+CONTAINER_BENCH_WORKERS) that is not a positive integer.  CI can therefore
+tell "bound falsified" apart from "tool misuse".
 
 Every artifact file embeds the tool version and the fully resolved config, so
 re-running a report's embedded config reproduces it byte-for-byte.
 
 Corpus layout: a directory with one subdirectory per instance, each holding
-instance.json and certificate.json.
+instance.json and certificate.json.  verify gcl-sat, gcl-star and shrinking
+read the certificate and exit 2 naming any entry without one; verify closure
+and container-degree read instance.json only.
 """
 
 from __future__ import annotations
@@ -104,11 +108,22 @@ def _vertex_list(text: str) -> tuple[int, ...]:
     return tuple(int(v) for v in text.split(","))
 
 
-def _default_workers() -> int:
-    env = os.environ.get("CONTAINER_BENCH_WORKERS")
-    if env:
-        return max(1, int(env))
-    return os.cpu_count() or 1
+def _worker_count(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(
+            f"{text!r} is not a positive integer (from --workers or "
+            "CONTAINER_BENCH_WORKERS)")
+    return value
+
+
+def _default_workers() -> "str | int":
+    # argparse passes a string default through _worker_count, so a bad
+    # CONTAINER_BENCH_WORKERS is a usage error of the verb that reads it.
+    return os.environ.get("CONTAINER_BENCH_WORKERS") or os.cpu_count() or 1
 
 
 def _config_of(args: argparse.Namespace) -> dict:
@@ -171,6 +186,16 @@ def _corpus_entries(corpus: str) -> list[tuple[str, dict, dict]]:
         entries.append((inst_path.parent.name, _load_json(inst_path), cert))
     if not entries:
         raise FileNotFoundError(f"no */instance.json under {corpus}")
+    return entries
+
+
+def _certified_entries(corpus: str) -> list[tuple[str, dict, dict]]:
+    """Corpus entries for the verbs that read certificates."""
+    entries = _corpus_entries(corpus)
+    missing = [name for name, _inst, cert in entries if cert is None]
+    if missing:
+        raise FileNotFoundError(
+            f"no certificate.json in corpus entries: {', '.join(missing)}")
     return entries
 
 
@@ -335,7 +360,7 @@ def _gcl_sat_instance(entry) -> dict:
 
 
 def _cmd_verify_gcl_sat(args) -> int:
-    entries = _corpus_entries(args.corpus)
+    entries = _certified_entries(args.corpus)
     results = _parallel_map(_gcl_sat_instance, entries, args.workers)
     summaries, violation = [], None
     for res in results:
@@ -373,7 +398,7 @@ def _gcl_star_instance(entry) -> dict:
 
 
 def _cmd_verify_gcl_star(args) -> int:
-    entries = _corpus_entries(args.corpus)
+    entries = _certified_entries(args.corpus)
     results = _parallel_map(_gcl_star_instance, entries, args.workers)
     summaries, violation = [], None
     for res in results:
@@ -533,7 +558,7 @@ def _cmd_verify_container_degree(args) -> int:
 
 
 def _cmd_verify_shrinking(args) -> int:
-    entries = _corpus_entries(args.corpus)
+    entries = _certified_entries(args.corpus)
     rng = make_rng(args.seed)
     sampled = 0
     premise_hits = 0
@@ -777,13 +802,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     v = vsub.add_parser("gcl-sat")
     v.add_argument("--corpus", required=True)
-    v.add_argument("--workers", type=int, default=_default_workers())
+    v.add_argument("--workers", type=_worker_count, default=_default_workers())
     _add_out(v)
     v.set_defaults(func=_cmd_verify_gcl_sat)
 
     v = vsub.add_parser("gcl-star")
     v.add_argument("--corpus", required=True)
-    v.add_argument("--workers", type=int, default=_default_workers())
+    v.add_argument("--workers", type=_worker_count, default=_default_workers())
     _add_out(v)
     v.set_defaults(func=_cmd_verify_gcl_star)
 
@@ -857,7 +882,7 @@ def build_parser() -> argparse.ArgumentParser:
     for kind in ("sat", "color", "shpp", "indepset", "canonical-is"):
         tp = esub.add_parser(kind)
         add_tester_args(tp, kind)
-        tp.add_argument("--workers", type=int, default=_default_workers())
+        tp.add_argument("--workers", type=_worker_count, default=_default_workers())
         tp.set_defaults(func=_cmd_estimate)
 
     return parser

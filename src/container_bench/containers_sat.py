@@ -14,6 +14,18 @@ the edges through the previously selected vertex.  Vertices that beat the
 selection strictly, vertices left with a 1-edge, and the new fingerprint
 vertices are removed from the container.  Ties always break to the smallest
 vertex index, so traces are bit-for-bit deterministic.
+
+Memo: everything the generator computes on a hypergraph is kept in one
+`_GeneratorMemo` stored on that Hypergraph instance (attribute `_memo`, built
+on first use).  It holds the incidence lists, exact deg_leq_n results keyed on
+(container mask, n, v, cap), each container's degree table keyed on
+(container mask, n, cap), and finished traces keyed on (independent-set mask,
+n, cap, deg mode).  It holds no reference back to the hypergraph, takes no
+part in ==, hash, repr or pickling, and is freed with the hypergraph; no
+state outlives the objects it describes.  `build_hypergraph` returns the same
+Hypergraph for the same Csp, so a sweep over one instance shares one memo.
+Entries are pure functions of their keys, so threads racing on a memo can at
+worst compute an entry twice.
 """
 
 from __future__ import annotations
@@ -21,7 +33,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from typing import Optional
 
 from .core import (
@@ -53,15 +64,6 @@ class DegLeqNResult:
 
     value: int
     witness: tuple[int, ...]
-
-
-@lru_cache(maxsize=None)
-def _incidence(h: Hypergraph) -> tuple[tuple[int, ...], ...]:
-    by_vertex: list[list[int]] = [[] for _ in range(h.n)]
-    for e in h.edges:
-        for v in bits_of(e):
-            by_vertex[v].append(e)
-    return tuple(tuple(es) for es in by_vertex)
 
 
 def _max_cover(pmasks: tuple[int, ...], allowed: tuple[int, ...], budget: int,
@@ -99,16 +101,14 @@ def _max_cover(pmasks: tuple[int, ...], allowed: tuple[int, ...], budget: int,
     return best
 
 
-@lru_cache(maxsize=1 << 18)
-def _deg_leq_n_cached(h: Hypergraph, c_mask: int, n_bound: int, v: int,
-                      cap: int) -> tuple[int, int]:
-    """(value, witness_mask) for deg_leq_n; exact branch and bound."""
+def _deg_leq_n_exact(q: int, incident: tuple[int, ...], c_mask: int,
+                     n_bound: int, v: int, cap: int) -> tuple[int, int]:
+    """(value, witness_mask) for deg_leq_n; exact branch and bound over the
+    edges `incident` to v."""
     c_size = c_mask.bit_count()
     budget = min(n_bound, c_size) - 1
     vbit = 1 << v
-    pmasks = tuple(
-        e & ~vbit for e in _incidence(h)[v] if e & ~c_mask == 0
-    )
+    pmasks = tuple(e & ~vbit for e in incident if e & ~c_mask == 0)
     relevant_mask = 0
     for pm in pmasks:
         relevant_mask |= pm
@@ -118,7 +118,7 @@ def _deg_leq_n_cached(h: Hypergraph, c_mask: int, n_bound: int, v: int,
             f"deg_leq_n at vertex {v}: {len(partners)} relevant vertices exceed cap {cap}"
         )
 
-    if h.q == 2:
+    if q == 2:
         # Each partner covers exactly one edge: take the smallest ones.
         value = min(len(pmasks), budget)
         support = partners[:value]
@@ -152,13 +152,55 @@ def _deg_leq_n_cached(h: Hypergraph, c_mask: int, n_bound: int, v: int,
     return value, witness
 
 
+class _GeneratorMemo:
+    """The generator's memo for one hypergraph; see the module docstring."""
+
+    __slots__ = ("q", "incidence", "deg", "tables", "traces")
+
+    def __init__(self, h: Hypergraph):
+        by_vertex: list[list[int]] = [[] for _ in range(h.n)]
+        for e in h.edges:
+            for v in bits_of(e):
+                by_vertex[v].append(e)
+        self.q = h.q
+        self.incidence = tuple(tuple(es) for es in by_vertex)
+        self.deg: dict[tuple[int, int, int, int], tuple[int, int]] = {}
+        self.tables: dict[tuple[int, int, int], dict[int, int]] = {}
+        self.traces: dict[tuple[int, int, int, str], tuple[SatIteration, ...]] = {}
+
+    def deg_leq_n(self, c_mask: int, n_bound: int, v: int, cap: int) -> tuple[int, int]:
+        key = (c_mask, n_bound, v, cap)
+        hit = self.deg.get(key)
+        if hit is None:
+            hit = self.deg[key] = _deg_leq_n_exact(
+                self.q, self.incidence[v], c_mask, n_bound, v, cap)
+        return hit
+
+    def degree_table(self, c_mask: int, n_bound: int, cap: int) -> dict[int, int]:
+        """deg_leq_n value of every container member, in vertex order."""
+        key = (c_mask, n_bound, cap)
+        table = self.tables.get(key)
+        if table is None:
+            table = self.tables[key] = {
+                w: self.deg_leq_n(c_mask, n_bound, w, cap)[0] for w in bits_of(c_mask)}
+        return table
+
+
+def _memo_of(h: Hypergraph) -> _GeneratorMemo:
+    memo = h.__dict__.get("_memo")
+    if memo is None:
+        memo = _GeneratorMemo(h)
+        object.__setattr__(h, "_memo", memo)
+    return memo
+
+
 def deg_leq_n(h: Hypergraph, container, n_bound: int, v: int,
               cap: int = DEFAULT_RELEVANT_CAP) -> DegLeqNResult:
     """Exact max degree of v over (<=n_bound)-subsets of the container."""
     c_mask = as_mask(container, h.n)
     if not (c_mask >> v) & 1:
         raise ValueError(f"vertex {v} is not in the container")
-    value, witness = _deg_leq_n_cached(h, c_mask, n_bound, v, cap)
+    value, witness = _memo_of(h).deg_leq_n(c_mask, n_bound, v, cap)
     return DegLeqNResult(value, bits_of(witness))
 
 
@@ -169,7 +211,7 @@ def deg_leq_n_greedy(h: Hypergraph, container, n_bound: int, v: int) -> DegLeqNR
     if not (c_mask >> v) & 1:
         raise ValueError(f"vertex {v} is not in the container")
     vbit = 1 << v
-    pmasks = [e & ~vbit for e in _incidence(h)[v] if e & ~c_mask == 0]
+    pmasks = [e & ~vbit for e in _memo_of(h).incidence[v] if e & ~c_mask == 0]
     budget = min(n_bound, c_mask.bit_count()) - 1
     chosen = 0
     while True:
@@ -275,11 +317,25 @@ def run_generator(h: Hypergraph, n_bound: int, independent_set,
     if deg_mode not in ("exact", "greedy"):
         raise ValueError(f"unknown deg mode {deg_mode!r}")
 
-    def deg_value_witness(c_mask: int, v: int) -> tuple[int, int]:
-        if deg_mode == "exact":
-            return _deg_leq_n_cached(h, c_mask, n_bound, v, deg_cap)
-        res = deg_leq_n_greedy(h, c_mask, n_bound, v)
-        return res.value, mask_of(res.witness)
+    memo = _memo_of(h)
+    key = (i_mask, n_bound, deg_cap, deg_mode)
+    done = memo.traces.get(key)
+    if done is not None:
+        return ContainerTrace(h, n_bound, bits_of(i_mask), done, deg_mode)
+
+    if deg_mode == "exact":
+        def degree_table(c_mask: int) -> dict[int, int]:
+            return memo.degree_table(c_mask, n_bound, deg_cap)
+
+        def witness_of(c_mask: int, v: int) -> int:
+            return memo.deg_leq_n(c_mask, n_bound, v, deg_cap)[1]
+    else:
+        def degree_table(c_mask: int) -> dict[int, int]:
+            return {w: deg_leq_n_greedy(h, c_mask, n_bound, w).value
+                    for w in bits_of(c_mask)}
+
+        def witness_of(c_mask: int, v: int) -> int:
+            return mask_of(deg_leq_n_greedy(h, c_mask, n_bound, v).witness)
 
     q = h.q
     full = (1 << h.n) - 1
@@ -288,16 +344,16 @@ def run_generator(h: Hypergraph, n_bound: int, independent_set,
     t = 0
     while i_mask & ~f_mask:
         t += 1
-        values = {w: deg_value_witness(c_mask, w)[0] for w in bits_of(c_mask)}
+        values = degree_table(c_mask)
         v_q = _argmax_smallest(bits_of(i_mask & ~f_mask), values.__getitem__)
-        x_q = tuple(w for w in bits_of(c_mask) if values[w] > values[v_q])
-        _, witness_mask = deg_value_witness(c_mask, v_q)
+        x_q = tuple(w for w in values if values[w] > values[v_q])
+        witness_mask = witness_of(c_mask, v_q)
 
         vbit = 1 << v_q
         level_v = witness_mask & ~vbit
         level_e = [
             e & ~vbit
-            for e in _incidence(h)[v_q]
+            for e in memo.incidence[v_q]
             if e & ~c_mask == 0 and e & ~witness_mask == 0
         ]
         selected = [v_q]
@@ -361,8 +417,8 @@ def run_generator(h: Hypergraph, n_bound: int, independent_set,
         ))
         c_mask = c_new
 
-    return ContainerTrace(h, n_bound, bits_of(i_mask), tuple(iterations),
-                          deg_mode)
+    done = memo.traces[key] = tuple(iterations)
+    return ContainerTrace(h, n_bound, bits_of(i_mask), done, deg_mode)
 
 
 @dataclass(frozen=True)
@@ -439,13 +495,10 @@ def check_container_degree(trace: ContainerTrace, k: int, n: int,
     coeff = math.comb(n - 1, q - 1)
     records = []
     worst: Optional[Fraction] = None
+    memo = _memo_of(h)
     for t in range(1, trace.iteration_count + 1):
-        c_mask = mask_of(trace.container_at(t))
-        max_deg = 0
-        for v in bits_of(c_mask):
-            val, _ = _deg_leq_n_cached(h, c_mask, n, v, deg_cap)
-            if val > max_deg:
-                max_deg = val
+        table = memo.degree_table(mask_of(trace.container_at(t)), n, deg_cap)
+        max_deg = max(table.values(), default=0)
         bound = Fraction(2 * k * q, t) * coeff
         tighter = Fraction(2 * k * (q - 1), t) * coeff
         ok = max_deg <= bound

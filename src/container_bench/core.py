@@ -5,6 +5,10 @@ tie anywhere in the package breaks toward the smallest index.  Vertex sets
 are handled as Python int bitmasks internally and exposed as sorted tuples.
 All types are immutable after construction and every operation is a pure
 function, so everything here is safe to share across threads or processes.
+A memo derived from an instance (the container generator's, the CSP's
+hypergraph encoding) is kept in an underscore attribute of that instance: it
+never changes a result, takes no part in ==, hash or repr, is not pickled,
+and is freed with the instance.
 """
 
 from __future__ import annotations
@@ -17,6 +21,11 @@ DEFAULT_ENUMERATION_CAP = 30
 
 class WorkCapExceeded(RuntimeError):
     """An exhaustive operation was asked to exceed its configured work cap."""
+
+
+def memo_free_state(obj) -> dict:
+    """Pickle state of a frozen dataclass without its per-instance memos."""
+    return {k: v for k, v in obj.__dict__.items() if not k.startswith("_")}
 
 
 def mask_of(vertices: Iterable[int]) -> int:
@@ -145,6 +154,9 @@ class Hypergraph:
                             f"edge {bits_of(e)} repeats variable {var}"
                         )
                     vars_seen.add(var)
+
+    def __getstate__(self) -> dict:
+        return memo_free_state(self)
 
     @classmethod
     def from_edges(

@@ -19,7 +19,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Mapping, Optional
 
-from .core import Hypergraph, WorkCapExceeded, bits_of, mask_of
+from .core import Hypergraph, WorkCapExceeded, bits_of, mask_of, memo_free_state
 
 DEFAULT_ASSIGNMENT_CAP = 1 << 24
 
@@ -73,6 +73,9 @@ class Csp:
                     raise ValueError(f"bad falsifying tuple {tup} on scope {c.scope}")
         if [c.scope for c in self.constraints] != sorted(c.scope for c in self.constraints):
             raise ValueError("constraints must be sorted by scope")
+
+    def __getstate__(self) -> dict:
+        return memo_free_state(self)
 
     @classmethod
     def of(
@@ -208,15 +211,21 @@ def build_hypergraph(csp: Csp) -> Hypergraph:
 
     Vertex x*k + a stands for assigning value a to variable x; each
     falsifying tuple of each constraint contributes one q-edge over the
-    corresponding labelled vertices.
+    corresponding labelled vertices.  The encoding is built once per instance
+    and kept on it, so every call on the same Csp returns the same Hypergraph,
+    and with it the container generator's memo.
     """
-    k = csp.k
-    labels = tuple((v // k, v % k) for v in range(csp.n * k))
-    edges = set()
-    for c in csp.constraints:
-        for tup in c.falsifying:
-            edges.add(mask_of(c.scope[i] * k + tup[i] for i in range(csp.q)))
-    return Hypergraph(csp.q, csp.n * k, tuple(sorted(edges)), labels)
+    h = csp.__dict__.get("_hypergraph")
+    if h is None:
+        k = csp.k
+        labels = tuple((v // k, v % k) for v in range(csp.n * k))
+        edges = set()
+        for c in csp.constraints:
+            for tup in c.falsifying:
+                edges.add(mask_of(c.scope[i] * k + tup[i] for i in range(csp.q)))
+        h = Hypergraph(csp.q, csp.n * k, tuple(sorted(edges)), labels)
+        object.__setattr__(csp, "_hypergraph", h)
+    return h
 
 
 def vars_of(hypergraph: Hypergraph, vertices) -> int:

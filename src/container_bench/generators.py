@@ -4,7 +4,10 @@ Every generator is a pure function of its seed: the variate draw order is
 fixed (scopes and pairs in lexicographic order), so outputs are byte-identical
 across runs and platforms.  Far instances are obtained by rejection sampling
 (generate, certify with the exact distance oracle, keep), and the certificate
-is stored beside the instance so verifier runs never re-derive farness.
+is stored beside the instance.  Verifiers do not trust it: every verify verb
+that reads a certificate recomputes the exact distance and checks the
+certified epsilon against it, and that recomputation is what makes a verdict
+sound.
 """
 
 from __future__ import annotations

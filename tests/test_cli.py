@@ -292,3 +292,87 @@ def test_shpp_test_verb(tmp_path):
                    "--epsilon", "1/4", "--s", "4", "--seed", "3",
                    "--out", str(out)) == 0
     assert read_json(out)["reports"][0]["verdict"] == "accept"
+
+
+def _far_graph_entry():
+    from fractions import Fraction
+
+    from container_bench import certify_far, gen_er_graph
+
+    seed = 0
+    while True:
+        g = gen_er_graph(8, Fraction(3, 5), seed=seed)
+        seed += 1
+        cert = certify_far(g, Fraction(1, 64), rho=Fraction(1, 2))
+        if cert is not None:
+            return g, cert
+
+
+def test_missing_certificate_is_usage_error(tmp_path, triangle_csp, capsys):
+    graph, _cert = _far_graph_entry()
+    csps = make_corpus(tmp_path / "sat", [
+        ("lonely-csp", serialize.csp_to_dict(triangle_csp), None)])
+    graphs = make_corpus(tmp_path / "star", [
+        ("lonely-graph", serialize.graph_to_dict(graph), None)])
+    capsys.readouterr()
+    for argv, name in ((["gcl-sat", "--corpus", str(csps), "--workers", "1"], "lonely-csp"),
+                       (["gcl-star", "--corpus", str(graphs), "--workers", "1"], "lonely-graph"),
+                       (["shrinking", "--corpus", str(graphs)], "lonely-graph")):
+        assert run_cli("verify", *argv, "--out", str(tmp_path / "r.json")) == 2
+        err = capsys.readouterr().err
+        assert name in err and "certificate.json" in err
+        assert "Traceback" not in err
+    # closure and container-degree do not read certificates
+    for verifier, corpus in (("closure", csps), ("closure", graphs),
+                             ("container-degree", csps)):
+        assert run_cli("verify", verifier, "--corpus", str(corpus),
+                       "--out", str(tmp_path / "r.json")) == 0
+
+
+@pytest.mark.parametrize("value", ["abc", "0", "-3", "1.5"])
+def test_bad_worker_count_is_usage_error(tmp_path, triangle_csp, monkeypatch,
+                                         capsys, value):
+    corpus = make_corpus(tmp_path, [
+        ("triangle", serialize.csp_to_dict(triangle_csp), None)])
+    monkeypatch.setenv("CONTAINER_BENCH_WORKERS", value)
+    with pytest.raises(SystemExit) as exc:
+        run_cli("verify", "gcl-sat", "--corpus", str(corpus))
+    assert exc.value.code == 2
+    assert "CONTAINER_BENCH_WORKERS" in capsys.readouterr().err
+    monkeypatch.delenv("CONTAINER_BENCH_WORKERS")
+    with pytest.raises(SystemExit) as exc:
+        run_cli("verify", "gcl-sat", "--corpus", str(corpus), "--workers", value)
+    assert exc.value.code == 2
+
+
+def test_worker_count_is_read_only_by_verbs_that_take_it(tmp_path, monkeypatch):
+    monkeypatch.setenv("CONTAINER_BENCH_WORKERS", "abc")
+    assert run_cli("gen-csp", "--n", "4", "--k", "2", "--q", "2", "--seed", "1",
+                   "--out", str(tmp_path / "c.json")) == 0
+
+
+def test_sweep_frees_its_hypergraphs(tmp_path, monkeypatch):
+    import gc
+    import weakref
+    from fractions import Fraction
+
+    from container_bench import cli, gen_random_csp
+
+    built = []
+
+    def recording_build(csp):
+        h = build_hypergraph(csp)
+        built.append(weakref.ref(h))
+        return h
+
+    build_hypergraph = cli.build_hypergraph
+    monkeypatch.setattr(cli, "build_hypergraph", recording_build)
+    corpus = make_corpus(tmp_path, [
+        (f"c{seed}", serialize.csp_to_dict(
+            gen_random_csp(5, 2, 2, Fraction(3, 5), Fraction(1, 2), seed)), None)
+        for seed in range(9001, 9004)])
+    assert run_cli("verify", "closure", "--corpus", str(corpus),
+                   "--out", str(tmp_path / "c.json")) == 0
+    gc.collect()
+    assert len(built) == 3
+    assert all(ref() is None for ref in built)

@@ -1,6 +1,10 @@
+import itertools
+import pickle
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from container_bench import (
     Csp,
@@ -315,3 +319,78 @@ def test_gcl_sat_requires_farness(nae_csp):
 def test_gcl_sat_rejects_non_variable_distinct(triangle_csp):
     with pytest.raises(ValueError):
         verify_gcl_sat(triangle_csp, Fraction(1, 3), (0, 1))
+
+
+# ----------------------------------------------------------------------- memo
+
+def _fresh(h: Hypergraph) -> Hypergraph:
+    """An equal hypergraph with an empty memo."""
+    return Hypergraph(h.q, h.n, h.edges, h.labels)
+
+
+def test_memo_keeps_the_cap_in_its_key():
+    edges = [(0, i, j) for i in range(1, 6) for j in range(i + 1, 7)]
+    h = Hypergraph.from_edges(3, 7, edges)
+    assert deg_leq_n(h, range(7), 4, 0).value == oracle_deg_leq_n(h, range(7), 4, 0)
+    with pytest.raises(WorkCapExceeded):
+        deg_leq_n(h, range(7), 4, 0, cap=3)
+
+
+def test_memo_keeps_the_bound_in_its_key():
+    h = gen_random_hypergraph(9, 3, Fraction(1, 2), seed=3)
+    container = (0, 1, 2, 4, 5, 7, 8)
+    for bound in (5, 2, 7, 3, 2, 6):
+        for v in (0, 4, 8):
+            assert deg_leq_n(h, container, bound, v).value == \
+                oracle_deg_leq_n(h, container, bound, v)
+
+
+def test_memo_keeps_exact_and_greedy_traces_apart():
+    h = gen_random_hypergraph(9, 3, Fraction(1, 3), seed=0)
+    exact = run_generator(h, 4, (1,))
+    greedy = run_generator(h, 4, (1,), deg_mode="greedy")
+    assert (exact.deg_mode, greedy.deg_mode) == ("exact", "greedy")
+    assert exact.iterations != greedy.iterations
+    assert run_generator(h, 4, (1,)) == exact == run_generator(_fresh(h), 4, (1,))
+    assert greedy == run_generator(_fresh(h), 4, (1,), deg_mode="greedy")
+
+
+def test_memo_leaves_equality_hash_repr_and_pickle_alone(triangle_csp):
+    csp = Csp(triangle_csp.n, triangle_csp.k, triangle_csp.q, triangle_csp.constraints)
+    h = build_hypergraph(csp)
+    assert build_hypergraph(csp) is h
+    for iset in enumerate_independent_sets(h, variable_distinct=True):
+        assert check_closure(h, 3, iset).ok
+    fresh = _fresh(h)
+    assert h.__dict__.get("_memo") is not None
+    assert h == fresh and hash(h) == hash(fresh) and repr(h) == repr(fresh)
+    assert len(pickle.dumps(h)) == len(pickle.dumps(fresh))
+    assert "_memo" not in pickle.loads(pickle.dumps(h)).__dict__
+    fresh_csp = Csp(csp.n, csp.k, csp.q, csp.constraints)
+    assert csp == fresh_csp and hash(csp) == hash(fresh_csp)
+    assert len(pickle.dumps(csp)) == len(pickle.dumps(fresh_csp))
+
+
+@st.composite
+def _hypergraph_and_bound(draw):
+    q = draw(st.integers(2, 3))
+    n = draw(st.integers(q + 1, 8))
+    pool = list(itertools.combinations(range(n), q))
+    edges = draw(st.lists(st.sampled_from(pool), max_size=10, unique=True))
+    return Hypergraph.from_edges(q, n, edges), draw(st.integers(1, n - 1))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_hypergraph_and_bound(), st.data())
+def test_memo_warm_results_equal_fresh_results(case, data):
+    h, bound = case
+    isets = [s for s in enumerate_independent_sets(h) if len(s) <= 4]
+    # Warm the memo on other sets, bounds and modes first.
+    warm = st.tuples(st.sampled_from(isets), st.integers(1, h.n - 1),
+                     st.sampled_from(("exact", "greedy")))
+    for iset, other_bound, mode in data.draw(st.lists(warm, max_size=6)):
+        run_generator(h, other_bound, iset, deg_mode=mode)
+        check_closure(h, other_bound, iset)
+    iset = data.draw(st.sampled_from(isets))
+    assert run_generator(h, bound, iset) == run_generator(_fresh(h), bound, iset)
+    assert check_closure(h, bound, iset) == check_closure(_fresh(h), bound, iset)
