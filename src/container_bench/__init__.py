@@ -14,7 +14,6 @@ from .core import (
     is_independent,
 )
 from .csp import (
-    Assignment,
     Constraint,
     Csp,
     Restriction,
@@ -38,7 +37,7 @@ from .containers_sat import (
     verify_gcl_sat,
 )
 from .containers_star import (
-    IndependentSetStar,
+    StarBounds,
     StarContainerTrace,
     check_shrinking,
     check_star_closure,

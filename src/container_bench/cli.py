@@ -3,16 +3,18 @@
 Exit-code contract: 0 on success, 1 when a verifier finds a counterexample
 (the record is serialized before exiting), 2 on usage, validation, corpus
 layout, or work-cap errors, including a worker count (--workers or
-CONTAINER_BENCH_WORKERS) that is not a positive integer.  CI can therefore
-tell "bound falsified" apart from "tool misuse".
+CONTAINER_BENCH_WORKERS) that is not a positive integer, and 3 on any other
+exception (an internal error, here or in a worker), as one "error:" line.
+CI can therefore tell "bound falsified" apart from "tool misuse".
 
 Every artifact file embeds the tool version and the fully resolved config, so
 re-running a report's embedded config reproduces it byte-for-byte.
 
 Corpus layout: a directory with one subdirectory per instance, each holding
 instance.json and certificate.json.  verify gcl-sat, gcl-star and shrinking
-read the certificate and exit 2 naming any entry without one; verify closure
-and container-degree read instance.json only.
+read the certificate and exit 2, before any verdict, naming any entry without
+one or whose instance_hash is not that of its canonical instance; verify
+closure and container-degree read instance.json only.
 """
 
 from __future__ import annotations
@@ -44,6 +46,7 @@ from .containers_sat import (
     verify_gcl_sat,
 )
 from .containers_star import (
+    StarBounds,
     check_shrinking,
     check_star_closure,
     distance_to_rho_is,
@@ -59,6 +62,7 @@ from .generators import (
     gen_planted_sat_csp,
     gen_random_csp,
     gen_random_hypergraph,
+    instance_digest,
     run_tester,
 )
 from .rationals import (
@@ -72,6 +76,7 @@ from .testers import SHPPSpec
 EXIT_OK = 0
 EXIT_COUNTEREXAMPLE = 1
 EXIT_USAGE = 2
+EXIT_INTERNAL = 3
 
 
 class CounterexampleFound(Exception):
@@ -189,13 +194,18 @@ def _corpus_entries(corpus: str) -> list[tuple[str, dict, dict]]:
     return entries
 
 
-def _certified_entries(corpus: str) -> list[tuple[str, dict, dict]]:
-    """Corpus entries for the verbs that read certificates."""
+def _certified_entries(corpus: str, from_dict, to_dict) -> list[tuple[str, dict, dict]]:
+    """Certified corpus entries; from_dict / to_dict re-serialize the instance."""
     entries = _corpus_entries(corpus)
     missing = [name for name, _inst, cert in entries if cert is None]
     if missing:
         raise FileNotFoundError(
             f"no certificate.json in corpus entries: {', '.join(missing)}")
+    unbound = [name for name, inst, cert in entries
+               if cert.get("instance_hash") != instance_digest(to_dict(from_dict(inst)))]
+    if unbound:
+        raise ValueError("certificate instance_hash does not match instance.json "
+                         f"in corpus entries: {', '.join(unbound)}")
     return entries
 
 
@@ -360,7 +370,8 @@ def _gcl_sat_instance(entry) -> dict:
 
 
 def _cmd_verify_gcl_sat(args) -> int:
-    entries = _certified_entries(args.corpus)
+    entries = _certified_entries(args.corpus, serialize.csp_from_dict,
+                                 serialize.csp_to_dict)
     results = _parallel_map(_gcl_sat_instance, entries, args.workers)
     summaries, violation = [], None
     for res in results:
@@ -379,10 +390,12 @@ def _gcl_star_instance(entry) -> dict:
     graph = serialize.graph_from_dict(inst)
     epsilon = parse_rational(cert["epsilon"])
     rho = parse_rational(cert["params"]["rho"])
+    bounds = StarBounds.of(graph.n, rho, epsilon)
     distance = distance_to_rho_is(graph, rho)
     checked = 0
     for iset in enumerate_independent_sets(graph):
-        outcome = verify_gcl_star(graph, rho, epsilon, iset, distance=distance)
+        outcome = verify_gcl_star(graph, rho, epsilon, iset, distance=distance,
+                                  bounds=bounds)
         checked += 1
         if not outcome.ok or not outcome.restated_ok:
             return {"instance": name, "independent_set": list(iset),
@@ -398,7 +411,8 @@ def _gcl_star_instance(entry) -> dict:
 
 
 def _cmd_verify_gcl_star(args) -> int:
-    entries = _certified_entries(args.corpus)
+    entries = _certified_entries(args.corpus, serialize.graph_from_dict,
+                                 serialize.graph_to_dict)
     results = _parallel_map(_gcl_star_instance, entries, args.workers)
     summaries, violation = [], None
     for res in results:
@@ -557,22 +571,30 @@ def _cmd_verify_container_degree(args) -> int:
     return EXIT_OK
 
 
+def _shrinking_instance(inst: dict, cert: dict) -> tuple:
+    graph = serialize.graph_from_dict(inst)
+    rho = parse_rational(cert["params"]["rho"])
+    return (graph, parse_rational(cert["epsilon"]), rho, distance_to_rho_is(graph, rho),
+            [s for s in enumerate_independent_sets(graph) if len(s) >= 3])
+
+
 def _cmd_verify_shrinking(args) -> int:
-    entries = _certified_entries(args.corpus)
+    entries = _certified_entries(args.corpus, serialize.graph_from_dict,
+                                 serialize.graph_to_dict)
     rng = make_rng(args.seed)
     sampled = 0
     premise_hits = 0
     stale_passes = 0
+    # Loaded on first visit: entries past the last sample never run the oracle.
+    loaded: dict[str, tuple] = {}
     while sampled < args.samples:
         progressed = False
         for name, inst, cert in entries:
             if sampled >= args.samples:
                 break
-            graph = serialize.graph_from_dict(inst)
-            epsilon = parse_rational(cert["epsilon"])
-            rho = parse_rational(cert["params"]["rho"])
-            distance = distance_to_rho_is(graph, rho)
-            isets = [s for s in enumerate_independent_sets(graph) if len(s) >= 3]
+            if name not in loaded:
+                loaded[name] = _shrinking_instance(inst, cert)
+            graph, epsilon, rho, distance, isets = loaded[name]
             if not isets:
                 continue
             for _ in range(min(len(isets), 8)):
@@ -907,6 +929,9 @@ def main(argv=None) -> int:
             FileNotFoundError, KeyError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_USAGE
+    except Exception as exc:  # a defect, not a verdict: never exit 1
+        sys.stderr.write(f"error: internal error: {type(exc).__name__}: {exc}\n")
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

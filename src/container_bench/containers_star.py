@@ -7,6 +7,13 @@ container C (contains the core) drops neighbours of the two fingerprint
 vertices and everything with strictly larger degree than either of them; the
 outer container D (contains the whole star) drops only the neighbours, since
 a vertex can be evicted from D only by exhibiting an edge into I.
+
+A `StarBounds` holds what the two-bullet verifier needs from (n, rho, eps)
+alone (t_max, the bullet threshold, the edge cap, the largest container size
+meeting the size bound at each reachable t); a sweep builds it once per
+instance, so per-set checks compare integers.  `check_shrinking` decides its
+premises by integer cross-multiplication; `verify shrinking` loads each
+corpus entry (graph, exact distance, independent sets) once.
 """
 
 from __future__ import annotations
@@ -18,15 +25,7 @@ from typing import Optional
 
 from .core import Graph, WorkCapExceeded, as_mask, bits_of, is_independent, mask_of
 from .containers_sat import NotFarError
-from .rationals import le_with_ln, sign_with_ln
-
-
-@dataclass(frozen=True)
-class IndependentSetStar:
-    """Core I plus outer vertices J; J is disjoint from I by definition."""
-
-    core: tuple[int, ...]
-    outer: tuple[int, ...]
+from .rationals import ceil_frac, floor_frac, floor_times_ln, le_with_ln, sign_with_ln
 
 
 def is_star(g: Graph, core, outer) -> tuple[bool, Optional[str]]:
@@ -184,7 +183,7 @@ def distance_to_rho_is(g: Graph, rho: Fraction,
     if not 0 < rho <= 1:
         raise ValueError("rho must lie in (0, 1]")
     n = g.n
-    target = -((-rho.numerator * n) // rho.denominator)  # ceil(rho * n)
+    target = ceil_frac(rho * n)
     if target == 0:
         return RhoDistance(0, Fraction(0), (), 0)
     if math.comb(n, target) > cap:
@@ -193,31 +192,25 @@ def distance_to_rho_is(g: Graph, rho: Fraction,
         )
 
     best = math.comb(target, 2) + 1
-    best_set: tuple[int, ...] = ()
-    chosen: list[int] = []
+    best_mask = 0
+    adj = g.adj
 
-    def rec(start: int, count: int) -> None:
-        nonlocal best, best_set
+    def rec(start: int, chosen: int, size: int, count: int) -> None:
+        nonlocal best, best_mask
         if count >= best:
             return
-        if len(chosen) == target:
-            best, best_set = count, tuple(chosen)
+        if size == target:
+            best, best_mask = count, chosen
             return
         # Not enough vertices left to finish the subset.
-        for v in range(start, n - (target - len(chosen)) + 1):
-            add = 0
-            av = g.adj[v]
-            for u in chosen:
-                add += (av >> u) & 1
-            chosen.append(v)
-            rec(v + 1, count + add)
-            chosen.pop()
+        for v in range(start, n - (target - size) + 1):
+            rec(v + 1, chosen | 1 << v, size + 1,
+                count + (adj[v] & chosen).bit_count())
             if best == 0:
                 return
 
-    rec(0, 0)
-    denom = n * n
-    return RhoDistance(best, Fraction(best, denom), best_set, target)
+    rec(0, 0, 0, 0)
+    return RhoDistance(best, Fraction(best, n * n), bits_of(best_mask), target)
 
 
 @dataclass(frozen=True)
@@ -239,7 +232,6 @@ class ShrinkingOutcome:
 def check_shrinking(g: Graph, rho: Fraction, epsilon: Fraction,
                     trace: StarContainerTrace, t: int, d_set, alpha: Fraction,
                     distance: Optional[RhoDistance] = None) -> ShrinkingOutcome:
-    rho, epsilon, alpha = Fraction(rho), Fraction(epsilon), Fraction(alpha)
     if distance is None:
         distance = distance_to_rho_is(g, rho)
     if not distance.is_far(epsilon):
@@ -257,28 +249,25 @@ def check_shrinking(g: Graph, rho: Fraction, epsilon: Fraction,
     ct1_mask = mask_of(trace.inner_at(t + 1))
     d_size = d_mask.bit_count()
 
+    # Rational comparisons cross-multiplied by positive denominators; the two
+    # bounds v <= sqrt(eps)/2 are squared for v > 0.
+    rn, rd = rho.numerator, rho.denominator
+    en, ed = epsilon.numerator, epsilon.denominator
+    an, ad = alpha.numerator, alpha.denominator
     # ceil((rho - alpha) * n), the required exact size of D
-    want = (rho - alpha) * n
-    want_ceil = -((-want.numerator) // want.denominator)
-
-    def sqrt_le(value: Fraction, bound_sq: Fraction) -> bool:
-        # value <= sqrt(bound_sq), both nonnegative
-        if value <= 0:
-            return True
-        return value * value <= bound_sq
-
+    want_ceil = ceil_frac((rn * ad - an * rd) * n, rd * ad)
     # |D cap C_{t+1}| >= (rho - sqrt(eps)/2) n  <=>  rho - x/n <= sqrt(eps)/2
-    inter = (d_mask & ct1_mask).bit_count()
+    gap = rn * n - (d_mask & ct1_mask).bit_count() * rd  # (rho - x/n) rd n
     full_iteration = (t + 1 <= trace.iteration_count
                       and trace.iterations[t].v is not None)
     flags = (
-        ("outer_container_large", Fraction(dt_mask.bit_count()) >= rho * n),
-        ("alpha_positive", alpha > 0),
-        ("alpha_small", alpha > 0 and sqrt_le(alpha, epsilon / 4)),
+        ("outer_container_large", dt_mask.bit_count() * rd >= rn * n),
+        ("alpha_positive", an > 0),
+        ("alpha_small", an > 0 and 4 * ed * an * an <= en * ad * ad),
         ("d_inside_next_outer", d_mask & ~dt1_mask == 0),
         ("d_exact_size", d_size == want_ceil),
-        ("d_sparse", Fraction(g.edges_inside(d_mask)) <= Fraction(3, 8) * epsilon * n * n),
-        ("d_meets_inner", sqrt_le(rho - Fraction(inter, n), epsilon / 4)),
+        ("d_sparse", 8 * ed * g.edges_inside(d_mask) <= 3 * en * n * n),
+        ("d_meets_inner", gap <= 0 or 4 * ed * gap * gap <= en * (rd * n) ** 2),
         ("full_iteration", full_iteration),
     )
     premises = all(ok for _, ok in flags)
@@ -287,12 +276,14 @@ def check_shrinking(g: Graph, rho: Fraction, epsilon: Fraction,
 
     lhs = (dt1_mask & ~d_mask).bit_count()
     m = (dt_mask & ~d_mask).bit_count()
-    if alpha > 0:
-        rhs = (1 - epsilon / (4 * rho * alpha)) * m
+    if an > 0:
+        # (1 - eps / (4 rho alpha)) m, with eps / (4 rho alpha) = en rd ad / (4 ed rn an)
+        den = 4 * ed * rn * an
+        rhs = Fraction((den - en * rd * ad) * m, den)
     else:
         rhs = Fraction(m)
-    return ShrinkingOutcome(premises, Fraction(lhs) <= rhs, flags, near_miss,
-                            lhs, rhs)
+    return ShrinkingOutcome(premises, lhs * rhs.denominator <= rhs.numerator,
+                            flags, near_miss, lhs, rhs)
 
 
 @dataclass(frozen=True)
@@ -339,13 +330,70 @@ def _bullet_threshold(rho: Fraction, epsilon: Fraction) -> int:
     return est
 
 
+def _max_container_size(n: int, rho: Fraction, epsilon: Fraction, t: int) -> int:
+    """Largest size s <= n with s <= (rho - t eps / (8 rho L)) n, L = ln(2 rho / eps),
+    or -1 if there is none.  The bound is monotone in s, so a float estimate
+    is corrected with the guarded comparator, as in floor_times_ln."""
+    x = 2 * rho / epsilon
+
+    def fits(size: int) -> bool:
+        # size <= (rho - t eps / (8 rho L)) n  <=>  L >= t eps n / (8 rho (rho n - size))
+        gap = rho * n - size
+        if gap <= 0:
+            return False
+        return le_with_ln(t * epsilon * n / (8 * rho * gap), Fraction(1), x)
+
+    est = (float(rho) - t * float(epsilon) / (8 * float(rho) * math.log(x))) * n
+    est = min(max(math.floor(est), -1), n)
+    while est >= 0 and not fits(est):
+        est -= 1
+    while est < n and fits(est + 1):
+        est += 1
+    return est
+
+
+@dataclass(frozen=True)
+class StarBounds:
+    """The exact constants of the two-bullet bound for one (n, rho, eps).
+
+    max_size[t]: largest container size meeting the size bound at t (-1 if
+    none), for t in 1..min(n + 1, t_max) and threshold_t if it is <= t_max.
+    edge_cap: floor(eps n^2 / 4), the restated inner bound's edge budget.
+    """
+
+    n: int
+    rho: Fraction
+    epsilon: Fraction
+    t_max: int
+    threshold_t: int
+    max_size: dict[int, int]
+    edge_cap: int
+
+    @classmethod
+    def of(cls, n: int, rho: Fraction, epsilon: Fraction) -> "StarBounds":
+        rho, epsilon = Fraction(rho), Fraction(epsilon)
+        if not 0 < rho <= 1:
+            raise ValueError("rho must lie in (0, 1]")
+        if not 0 < epsilon < 2 * rho:
+            raise ValueError("epsilon must lie in (0, 2*rho) for the bound to make sense")
+        t_max = floor_times_ln(8 * rho * rho / epsilon, 2 * rho / epsilon)
+        threshold = _bullet_threshold(rho, epsilon)
+        ts = list(range(1, min(n + 1, t_max) + 1))
+        if threshold <= t_max:
+            ts.append(threshold)
+        return cls(n, rho, epsilon, t_max, threshold,
+                   {t: _max_container_size(n, rho, epsilon, t) for t in ts},
+                   floor_frac(epsilon * n * n / 4))
+
+
 def verify_gcl_star(g: Graph, rho: Fraction, epsilon: Fraction, independent_set,
-                    distance: Optional[RhoDistance] = None) -> GclStarOutcome:
-    rho, epsilon = Fraction(rho), Fraction(epsilon)
-    if not 0 < rho <= 1:
-        raise ValueError("rho must lie in (0, 1]")
-    if not 0 < epsilon < 2 * rho:
-        raise ValueError("epsilon must lie in (0, 2*rho) for the bound to make sense")
+                    distance: Optional[RhoDistance] = None,
+                    bounds: Optional[StarBounds] = None) -> GclStarOutcome:
+    if bounds is None:
+        bounds = StarBounds.of(g.n, rho, epsilon)
+    elif (bounds.n, bounds.rho, bounds.epsilon) != (g.n, rho, epsilon):
+        raise ValueError("bounds were built for another (n, rho, epsilon)")
+    rho, epsilon = bounds.rho, bounds.epsilon
     if distance is None:
         distance = distance_to_rho_is(g, rho)
     if not distance.is_far(epsilon):
@@ -353,26 +401,9 @@ def verify_gcl_star(g: Graph, rho: Fraction, epsilon: Fraction, independent_set,
             f"graph distance {distance.distance} is below epsilon {epsilon}"
         )
 
-    n = g.n
-    x = 2 * rho / epsilon
     trace = run_star_generator(g, independent_set)
     T = trace.iteration_count
-    # t_max = floor((8 rho^2 / eps) ln(2 rho / eps))
-    est = math.floor(8 * float(rho) ** 2 / float(epsilon) * math.log(float(x)))
-    while not le_with_ln(Fraction(est), 8 * rho * rho / epsilon, x):
-        est -= 1
-    while le_with_ln(Fraction(est + 1), 8 * rho * rho / epsilon, x):
-        est += 1
-    t_max = est
-    threshold = _bullet_threshold(rho, epsilon)
-
-    def size_bound_ok(size: int, t: int) -> bool:
-        # size <= (rho - t eps / (8 rho L)) n  <=>  L >= t eps n / (8 rho (rho n - size))
-        gap = rho * n - size
-        if gap <= 0:
-            return False
-        lhs = Fraction(t) * epsilon * n / (8 * rho * gap)
-        return le_with_ln(lhs, Fraction(1), x)
+    t_max, threshold = bounds.t_max, bounds.threshold_t
 
     def inner_size(t: int) -> int:
         return len(trace.inner_at(t))
@@ -384,25 +415,20 @@ def verify_gcl_star(g: Graph, rho: Fraction, epsilon: Fraction, independent_set,
     witness: Optional[int] = None
     branch: Optional[str] = None
 
-    def bullet_ok(t: int) -> tuple[bool, bool]:
-        inner_branch = t >= threshold
-        if inner_branch:
-            return True, size_bound_ok(inner_size(t), t)
-        return False, size_bound_ok(outer_size(t), t)
-
     # Exhaustive over the loop region plus the first extension step; past that
     # both container sizes are constant while the bound right side strictly
     # decreases, so only the first t of each bullet region can newly succeed.
     scan_upto = min(T + 1, t_max)
     for t in range(1, scan_upto + 1):
-        inner_branch, ok = bullet_ok(t)
+        inner_branch = t >= threshold
+        ok = (inner_size(t) if inner_branch else outer_size(t)) <= bounds.max_size[t]
         checks.append(GclStarCheck(t, inner_size(t), outer_size(t), inner_branch, ok))
         if ok:
             witness, branch = t, "inner" if inner_branch else "outer"
             break
     if witness is None and threshold > scan_upto and threshold <= t_max:
         t = threshold
-        ok = size_bound_ok(inner_size(t), t)
+        ok = inner_size(t) <= bounds.max_size[t]
         checks.append(GclStarCheck(t, inner_size(t), outer_size(t), True, ok))
         if ok:
             witness, branch = t, "inner"
@@ -411,10 +437,10 @@ def verify_gcl_star(g: Graph, rho: Fraction, epsilon: Fraction, independent_set,
     # at most eps n^2 / 4 edges inside C_t.  Past the loop C_t = I (edgeless),
     # so t = T+1 dominates the whole extension region.
     restated_t: Optional[int] = None
-    edge_cap = epsilon * n * n / 4
     for t in range(1, min(T + 1, t_max) + 1):
         c_mask = mask_of(trace.inner_at(t))
-        if size_bound_ok(c_mask.bit_count(), t) and g.edges_inside(c_mask) <= edge_cap:
+        if (c_mask.bit_count() <= bounds.max_size[t]
+                and g.edges_inside(c_mask) <= bounds.edge_cap):
             restated_t = t
             break
 

@@ -185,17 +185,13 @@ class Hypergraph:
 Host = Union[Graph, Hypergraph]
 
 
-def _host_n(host: Host) -> int:
-    return host.n
-
-
 def induced_subgraph(host: Host, vertices: Union[int, Iterable[int]]):
     """Restrict a (hyper)graph to a vertex set.
 
     Returns (sub, index_map) where index_map[i] is the original index of the
     i-th vertex of the restriction, so vertex identities are recoverable.
     """
-    n = _host_n(host)
+    n = host.n
     mask = as_mask(vertices, n)
     kept = bits_of(mask)
     new_index = {v: i for i, v in enumerate(kept)}
@@ -217,7 +213,7 @@ def induced_subgraph(host: Host, vertices: Union[int, Iterable[int]]):
 
 def is_independent(host: Host, vertices: Union[int, Iterable[int]]) -> bool:
     """True iff no edge of the host has all endpoints inside the set."""
-    mask = as_mask(vertices, _host_n(host))
+    mask = as_mask(vertices, host.n)
     if isinstance(host, Graph):
         m = mask
         while m:
@@ -232,7 +228,7 @@ def is_independent(host: Host, vertices: Union[int, Iterable[int]]) -> bool:
 
 def degree(host: Host, vertices: Union[int, Iterable[int]], v: int) -> int:
     """Number of edges of host fully inside the set that contain v."""
-    mask = as_mask(vertices, _host_n(host))
+    mask = as_mask(vertices, host.n)
     if not (mask >> v) & 1:
         raise ValueError(f"vertex {v} is not in the given set")
     if isinstance(host, Graph):
@@ -253,7 +249,7 @@ def enumerate_independent_sets(
     (labelled hypergraphs only) keeps sets whose vertices label pairwise
     distinct variables.  Enumeration refuses hosts above the vertex cap.
     """
-    n = _host_n(host)
+    n = host.n
     if n > cap:
         raise WorkCapExceeded(
             f"independent-set enumeration refused: {n} vertices exceeds cap {cap}"

@@ -23,10 +23,6 @@ from .core import Hypergraph, WorkCapExceeded, bits_of, mask_of, memo_free_state
 
 DEFAULT_ASSIGNMENT_CAP = 1 << 24
 
-# Assignments are plain mappings variable -> value; partial or total.
-Assignment = dict[int, int]
-
-
 @dataclass(frozen=True)
 class Constraint:
     """A predicate on a sorted scope of q distinct variables.

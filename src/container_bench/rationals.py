@@ -44,8 +44,9 @@ def format_rational(value: Fraction) -> str:
     return f"{value.numerator}/{value.denominator}"
 
 
-def ceil_frac(value: Fraction) -> int:
-    return -((-value.numerator) // value.denominator)
+def ceil_frac(value, den: int = 1) -> int:
+    """ceil(value / den) for an int or Fraction value and an int den > 0."""
+    return -((-value.numerator) // (value.denominator * den))
 
 
 def floor_frac(value: Fraction) -> int:

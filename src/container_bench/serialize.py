@@ -13,8 +13,6 @@ Rationals are serialized as exact "p/q" strings everywhere.
 from __future__ import annotations
 
 import json
-from fractions import Fraction
-from typing import Optional
 
 from .core import Graph, Hypergraph, bits_of
 from .csp import Constraint, Csp
@@ -72,15 +70,6 @@ def csp_from_dict(data: dict) -> Csp:
         for c in data["constraints"]
     )
     return Csp(int(data["n"]), int(data["k"]), int(data["q"]), constraints)
-
-
-def load_instance(data: dict):
-    """Detect and decode a graph / hypergraph / CSP instance payload."""
-    if "constraints" in data:
-        return csp_from_dict(data)
-    if "q" in data:
-        return hypergraph_from_dict(data)
-    return graph_from_dict(data)
 
 
 def container_trace_to_dict(trace: ContainerTrace) -> dict:
@@ -212,7 +201,3 @@ def report_to_dict(report: TesterReport) -> dict:
         payload["witness"] = {k: list(v) if isinstance(v, tuple) else v
                               for k, v in report.witness.items()}
     return payload
-
-
-def fraction_or_none(value: Optional[str]) -> Optional[Fraction]:
-    return None if value is None else parse_rational(value)

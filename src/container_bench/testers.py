@@ -20,13 +20,10 @@ import numpy as np
 
 from .core import Graph, Hypergraph, WorkCapExceeded, bits_of, mask_of
 from .csp import Csp, is_satisfiable, restrict
+from .rationals import ceil_frac
 from .rng import GENERATOR_NAME, sample_without_replacement
 
 DEFAULT_SEARCH_CAP = 10_000_000
-
-
-def _ceil_frac(x: Fraction) -> int:
-    return -((-x.numerator) // x.denominator)
 
 
 @dataclass(frozen=True)
@@ -263,8 +260,8 @@ def star_tester(graph: Graph, params: StarTesterParams,
     else:
         body = sample_without_replacement(rng, n, s)
 
-    m_core = _ceil_frac(params.rho * r)
-    m_body = _ceil_frac(params.rho * s)
+    m_core = ceil_frac(params.rho * r)
+    m_body = ceil_frac(params.rho * s)
     if math.comb(r, m_core) > search_cap:
         raise WorkCapExceeded(
             f"C({r},{m_core}) core subsets exceed the search cap {search_cap}"
@@ -349,7 +346,7 @@ def canonical_is_tester(graph: Graph, rho: Fraction, sample_size: int,
     n = graph.n
     if not 1 <= sample_size <= n:
         raise ValueError(f"sample size {sample_size} must lie in [1, {n}]")
-    target_cap = _ceil_frac(Fraction(rho) * sample_size)
+    target_cap = ceil_frac(Fraction(rho) * sample_size)
     if math.comb(sample_size, target_cap) > search_cap:
         raise WorkCapExceeded(
             f"C({sample_size},{target_cap}) subsets exceed the search cap {search_cap}"
@@ -364,7 +361,7 @@ def canonical_is_tester(graph: Graph, rho: Fraction, sample_size: int,
                 adj_known[u] |= 1 << v
                 adj_known[v] |= 1 << u
 
-    target = _ceil_frac(Fraction(rho) * sample_size)
+    target = ceil_frac(Fraction(rho) * sample_size)
     adj_full = tuple(adj_known.get(v, 0) for v in range(n))
     accepted = has_independent_set_of_size(adj_full, mask_of(sample_list), target)
     return TesterReport(

@@ -104,6 +104,18 @@ def oracle_deg_leq_n(h: Hypergraph, container, n_bound: int, v: int) -> int:
     return best
 
 
+def oracle_min_edges_subset(g: Graph, size: int) -> tuple[int, tuple[int, ...]]:
+    """Fewest edges inside any size-subset of vertices, and the first subset
+    (in itertools.combinations order, i.e. lexicographic) that attains it."""
+    edges = set(edge_lists(g))
+    best, witness = None, ()
+    for sub in itertools.combinations(range(g.n), size):
+        count = sum(1 for pair in itertools.combinations(sub, 2) if pair in edges)
+        if best is None or count < best:
+            best, witness = count, sub
+    return best, witness
+
+
 def oracle_max_independent_set(g: Graph) -> int:
     best = 0
     for sub in subsets(range(g.n)):

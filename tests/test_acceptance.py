@@ -24,6 +24,7 @@ from container_bench import (
     Hypergraph,
     SHPPSpec,
     SatTesterParams,
+    StarBounds,
     StarTesterParams,
     build_hypergraph,
     canonical_is_tester,
@@ -317,6 +318,7 @@ def test_criterion_08_gcl_star(far_graphs):
     checked = 0
     for g, rho, eps in far_graphs:
         dist = distance_to_rho_is(g, rho)
+        bounds = StarBounds.of(g.n, rho, eps)
         blocked_cache: dict[tuple[int, ...], int] = {}
         for iset in enumerate_independent_sets(g):
             trace = run_star_generator(g, iset)
@@ -339,7 +341,7 @@ def test_criterion_08_gcl_star(far_graphs):
             # Prop 4 closure
             assert check_star_closure(g, iset).ok, iset
             # two-bullet witness plus the restated inner bound
-            out = verify_gcl_star(g, rho, eps, iset, distance=dist)
+            out = verify_gcl_star(g, rho, eps, iset, distance=dist, bounds=bounds)
             assert out.ok, (rho, eps, iset)
             assert out.restated_ok, (rho, eps, iset)
             checked += 1

@@ -376,3 +376,80 @@ def test_sweep_frees_its_hypergraphs(tmp_path, monkeypatch):
     gc.collect()
     assert len(built) == 3
     assert all(ref() is None for ref in built)
+
+
+def test_internal_error_exits_3_without_traceback(tmp_path, monkeypatch, capsys):
+    from container_bench import cli
+
+    def broken(args):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli, "_cmd_verify_closure", broken)
+    assert run_cli("verify", "closure", "--corpus", str(tmp_path)) == 3
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.count("\n") == 1 and err.startswith("error:") and "boom" in err
+
+
+def _far_graph_entries(count: int) -> list:
+    from fractions import Fraction
+
+    from container_bench import certify_far, gen_er_graph
+
+    entries, seed = [], 0
+    while len(entries) < count:
+        g = gen_er_graph(8, Fraction(3, 5), seed=seed)
+        seed += 1
+        cert = certify_far(g, Fraction(1, 64), rho=Fraction(1, 2))
+        if cert is not None:
+            entries.append((f"g{seed}", serialize.graph_to_dict(g),
+                            serialize.certificate_to_dict(cert)))
+    return entries
+
+
+def test_certificate_bound_to_another_instance_is_usage_error(tmp_path, triangle_csp,
+                                                              capsys):
+    from fractions import Fraction
+
+    from container_bench import certify_far, gen_random_csp
+
+    # A certificate copied beside another instance, its epsilon weakened.
+    tri_cert = serialize.certificate_to_dict(certify_far(triangle_csp, Fraction(1, 3)))
+    other_csp = gen_random_csp(4, 2, 2, Fraction(1), Fraction(1, 2), 1)
+    csps = make_corpus(tmp_path / "sat", [
+        ("copied-csp", serialize.csp_to_dict(other_csp),
+         {**tri_cert, "epsilon": "1/100"})])
+    (_a, graph_a, _cert_a), (_b, _graph_b, cert_b) = _far_graph_entries(2)
+    graphs = make_corpus(tmp_path / "star", [
+        ("copied-graph", graph_a, {**cert_b, "epsilon": "1/100"})])
+    capsys.readouterr()
+    for argv, name in ((["gcl-sat", "--corpus", str(csps), "--workers", "1"], "copied-csp"),
+                       (["gcl-star", "--corpus", str(graphs), "--workers", "1"], "copied-graph"),
+                       (["shrinking", "--corpus", str(graphs)], "copied-graph")):
+        assert run_cli("verify", *argv, "--out", str(tmp_path / "r.json")) == 2
+        err = capsys.readouterr().err
+        assert name in err and "instance_hash" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "r.json").exists()
+
+
+def test_verify_shrinking_runs_the_oracle_once_per_entry(tmp_path, monkeypatch):
+    from container_bench import cli
+
+    calls = []
+
+    def counting(graph, rho, *rest):
+        calls.append(graph)
+        return distance_to_rho_is(graph, rho, *rest)
+
+    distance_to_rho_is = cli.distance_to_rho_is
+    monkeypatch.setattr(cli, "distance_to_rho_is", counting)
+    corpus = make_corpus(tmp_path, _far_graph_entries(3))
+    # 3 entries x at most 8 samples per visit: 200 samples take many passes.
+    assert run_cli("verify", "shrinking", "--corpus", str(corpus),
+                   "--samples", "200", "--seed", "5",
+                   "--out", str(tmp_path / "sh.json")) == 0
+    assert read_json(tmp_path / "sh.json")["samples"] == 200
+    assert len(calls) == 3
+    assert len({serialize.canonical_dumps(serialize.graph_to_dict(g))
+                for g in calls}) == 3

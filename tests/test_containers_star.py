@@ -1,4 +1,5 @@
 import itertools
+import math
 from fractions import Fraction
 
 import pytest
@@ -15,9 +16,18 @@ from container_bench import (
     run_star_generator,
     verify_gcl_star,
 )
-from container_bench.core import WorkCapExceeded, mask_of
+from container_bench.containers_star import RhoDistance, ShrinkingOutcome, StarBounds
+from container_bench.core import WorkCapExceeded, as_mask, mask_of
+from container_bench.rationals import ceil_frac, le_with_ln
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from conftest import complete_graph, oracle_is_independent, subsets
+from conftest import (
+    complete_graph,
+    oracle_is_independent,
+    oracle_min_edges_subset,
+    subsets,
+)
 
 
 # ------------------------------------------------------------------- is_star
@@ -156,6 +166,19 @@ def test_distance_matches_independent_subset_sweep():
         assert distance_to_rho_is(g, rho).min_edits == best
 
 
+def test_distance_matches_brute_force_oracle():
+    rhos = [Fraction(1, 2), Fraction(1, 3), Fraction(2, 3), Fraction(1, 4),
+            Fraction(3, 4), Fraction(1)]
+    densities = [Fraction(1, 5), Fraction(1, 2), Fraction(4, 5)]
+    for seed in range(1000):
+        n = 1 + seed % 13
+        g = gen_er_graph(n, densities[seed % 3], seed=seed)
+        rho = rhos[(seed // 13) % len(rhos)]
+        got = distance_to_rho_is(g, rho)
+        assert (got.min_edits, got.witness) == \
+            oracle_min_edges_subset(g, ceil_frac(rho * n)), (seed, rho)
+
+
 def test_distance_cap():
     g = Graph.from_edges(24, [])
     with pytest.raises(WorkCapExceeded):
@@ -249,7 +272,141 @@ def test_shrinking_randomized_search_no_counterexample():
     assert tried > 200
 
 
+def fraction_check_shrinking(g, rho, epsilon, trace, t, d_set, alpha, distance):
+    """check_shrinking as it was written in Fraction arithmetic: the
+    reference for the integer cross-multiplication version."""
+    rho, epsilon, alpha = Fraction(rho), Fraction(epsilon), Fraction(alpha)
+    n = g.n
+    d_mask = as_mask(d_set, n)
+    dt_mask = mask_of(trace.outer_at(t))
+    dt1_mask = mask_of(trace.outer_at(t + 1))
+    ct1_mask = mask_of(trace.inner_at(t + 1))
+    d_size = d_mask.bit_count()
+    want = (rho - alpha) * n
+    want_ceil = -((-want.numerator) // want.denominator)
+
+    def sqrt_le(value, bound_sq):
+        if value <= 0:
+            return True
+        return value * value <= bound_sq
+
+    inter = (d_mask & ct1_mask).bit_count()
+    full_iteration = (t + 1 <= trace.iteration_count
+                      and trace.iterations[t].v is not None)
+    flags = (
+        ("outer_container_large", Fraction(dt_mask.bit_count()) >= rho * n),
+        ("alpha_positive", alpha > 0),
+        ("alpha_small", alpha > 0 and sqrt_le(alpha, epsilon / 4)),
+        ("d_inside_next_outer", d_mask & ~dt1_mask == 0),
+        ("d_exact_size", d_size == want_ceil),
+        ("d_sparse", Fraction(g.edges_inside(d_mask)) <= Fraction(3, 8) * epsilon * n * n),
+        ("d_meets_inner", sqrt_le(rho - Fraction(inter, n), epsilon / 4)),
+        ("full_iteration", full_iteration),
+    )
+    premises = all(ok for _, ok in flags)
+    near_miss = (not premises and abs(d_size - want_ceil) == 1
+                 and all(ok for name, ok in flags if name != "d_exact_size"))
+    lhs = (dt1_mask & ~d_mask).bit_count()
+    m = (dt_mask & ~d_mask).bit_count()
+    if alpha > 0:
+        rhs = (1 - epsilon / (4 * rho * alpha)) * m
+    else:
+        rhs = Fraction(m)
+    return ShrinkingOutcome(premises, Fraction(lhs) <= rhs, flags, near_miss,
+                            lhs, rhs)
+
+
+_rationals = st.builds(Fraction, st.integers(-6, 40), st.integers(1, 24))
+
+
+@st.composite
+def shrinking_cases(draw):
+    """A graph, trace, t and D, with (rho, eps, alpha) either drawn freely or
+    built so that the rational premises hold: eps is the least value that
+    meets them, times a factor that keeps it at equality, just short of it
+    or above it."""
+    n = draw(st.integers(5, 10))
+    g = gen_er_graph(n, draw(st.sampled_from([Fraction(1, 5), Fraction(2, 5)])),
+                     seed=draw(st.integers(0, 1 << 16)))
+    isets = [s for s in enumerate_independent_sets(g) if len(s) >= 3]
+    assume(isets)
+    iset = draw(st.sampled_from(isets))
+    trace = run_star_generator(g, iset)
+    t = draw(st.integers(0, (len(iset) - 1) // 2))
+    d_mask = mask_of(draw(st.lists(st.sampled_from(trace.outer_at(t + 1)),
+                                   unique=True)))
+    d_size, dt_size = d_mask.bit_count(), len(trace.outer_at(t))
+    if not draw(st.booleans()) or d_size >= dt_size:
+        rho = draw(_rationals.filter(lambda r: 0 < r <= 1))
+        return g, trace, t, d_mask, rho, draw(_rationals.filter(lambda e: e > 0)), \
+            draw(_rationals)
+    scale = draw(st.integers(1, 4))
+    rho = Fraction(draw(st.integers(d_size * scale + 1, dt_size * scale)), n * scale)
+    # An off-by-one size target makes near misses instead of premise hits.
+    alpha = rho - Fraction(d_size + draw(st.sampled_from([0, 0, -1, 1])), n)
+    inter = (d_mask & mask_of(trace.inner_at(t + 1))).bit_count()
+    eps = max(4 * alpha * alpha,
+              Fraction(8 * g.edges_inside(d_mask), 3 * n * n),
+              4 * max(rho - Fraction(inter, n), Fraction(0)) ** 2)
+    eps *= draw(st.sampled_from([Fraction(1), Fraction(99, 100), Fraction(3, 2)]))
+    return g, trace, t, d_mask, rho, eps, alpha
+
+
+def test_check_shrinking_matches_fraction_reference():
+    premise_hits = []
+
+    @settings(max_examples=400, deadline=None)
+    @given(shrinking_cases())
+    def run(case):
+        g, trace, t, d_mask, rho, eps, alpha = case
+        distance = RhoDistance(1, eps, (), 0)  # farness is not under test here
+        got = check_shrinking(g, rho, eps, trace, t, d_mask, alpha, distance=distance)
+        want = fraction_check_shrinking(g, rho, eps, trace, t, d_mask, alpha, distance)
+        assert got == want
+        assert type(got.shrink_rhs) is Fraction
+        premise_hits.append(want.premises_hold)
+
+    run()
+    assert any(premise_hits)
+
+
 # ------------------------------------------------------------------ gcl-star
+
+@pytest.mark.parametrize("n, rho, eps", [
+    (0, Fraction(1, 2), Fraction(1, 16)),
+    (4, Fraction(1, 2), Fraction(1, 16)),
+    (8, Fraction(1, 2), Fraction(3, 64)),
+    (12, Fraction(1, 3), Fraction(1, 144)),
+    (12, Fraction(2, 3), Fraction(7, 144)),
+    (14, Fraction(1, 2), Fraction(9, 196)),
+    (10, Fraction(1, 2), Fraction(1, 2)),
+    (10, Fraction(1), Fraction(19, 10)),
+])
+def test_star_bounds_size_table_matches_guarded_comparator(n, rho, eps):
+    bounds = StarBounds.of(n, rho, eps)
+    reach = set(range(1, min(n + 1, bounds.t_max) + 1))
+    if bounds.threshold_t <= bounds.t_max:
+        reach.add(bounds.threshold_t)
+    assert set(bounds.max_size) == reach
+    x = 2 * rho / eps
+    for t, largest in bounds.max_size.items():
+        for size in range(n + 1):
+            gap = rho * n - size
+            fits = gap > 0 and le_with_ln(Fraction(t) * eps * n / (8 * rho * gap),
+                                          Fraction(1), x)
+            assert (size <= largest) == fits, (t, size, largest)
+    assert bounds.edge_cap == math.floor(eps * n * n / 4)
+
+
+def test_gcl_star_bounds_are_per_instance(k4):
+    rho, eps = Fraction(1, 2), Fraction(1, 16)
+    bounds = StarBounds.of(k4.n, rho, eps)
+    for iset in [(), (0,), (3,)]:
+        assert verify_gcl_star(k4, rho, eps, iset, bounds=bounds) == \
+            verify_gcl_star(k4, rho, eps, iset)
+    with pytest.raises(ValueError):
+        verify_gcl_star(k4, rho, Fraction(1, 32), (0,), bounds=bounds)
+
 
 def test_gcl_star_empty_core_witness_in_extension(k4):
     out = verify_gcl_star(k4, Fraction(1, 2), Fraction(1, 16), ())

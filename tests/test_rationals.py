@@ -35,6 +35,8 @@ def test_ceil_floor():
     assert ceil_frac(Fraction(7, 2)) == 4
     assert ceil_frac(Fraction(3)) == 3
     assert ceil_frac(Fraction(-7, 2)) == -3
+    assert (ceil_frac(7, 2), ceil_frac(-7, 2), ceil_frac(6, 3)) == (4, -3, 2)
+    assert ceil_frac(Fraction(7, 3), 2) == 2
     assert floor_frac(Fraction(7, 2)) == 3
 
 
