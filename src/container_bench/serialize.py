@@ -7,7 +7,9 @@ Instance formats (bit-exact round trip, canonical key order and edge order):
   csp        {"n": int, "k": int, "q": int,
               "constraints": [{"scope": [...], "falsifying": [[...], ...]}]}
 
-Rationals are serialized as exact "p/q" strings everywhere.
+Rationals are serialized as exact "p/q" strings everywhere.  The instance
+readers reject a field of the wrong JSON type (a bool is not an integer) with
+a ValueError.
 """
 
 from __future__ import annotations
@@ -31,8 +33,28 @@ def graph_to_dict(g: Graph) -> dict:
     return {"n": g.n, "edges": [list(e) for e in g.edges()]}
 
 
+_JSON_NAMES = {int: "integer", list: "array", dict: "object"}
+
+
+def _checked(value, kind: type, what: str):
+    """value, if its type is exactly kind (so a bool is not an int)."""
+    if type(value) is not kind:
+        raise ValueError(f"{what} must be a JSON {_JSON_NAMES[kind]}, "
+                         f"got {type(value).__name__}")
+    return value
+
+
+def _int_tuple(value, what: str) -> tuple[int, ...]:
+    """value as a tuple, if it is a JSON array of integers."""
+    if type(value) is not list or not all(type(v) is int for v in value):
+        raise ValueError(f"{what} must be a JSON array of integers")
+    return tuple(value)
+
+
 def graph_from_dict(data: dict) -> Graph:
-    return Graph.from_edges(int(data["n"]), data["edges"])
+    edges = _checked(data["edges"], list, "graph edges")
+    return Graph.from_edges(_checked(data["n"], int, "graph n"),
+                            [_int_tuple(e, "a graph edge") for e in edges])
 
 
 def hypergraph_to_dict(h: Hypergraph) -> dict:
@@ -46,9 +68,14 @@ def hypergraph_to_dict(h: Hypergraph) -> dict:
 
 def hypergraph_from_dict(data: dict) -> Hypergraph:
     labels = data.get("labels")
+    if labels is not None:
+        labels = [_int_tuple(l, "a hypergraph label")
+                  for l in _checked(labels, list, "hypergraph labels")]
     return Hypergraph.from_edges(
-        int(data["q"]), int(data["n"]), data["edges"],
-        [tuple(l) for l in labels] if labels is not None else None,
+        _checked(data["q"], int, "hypergraph q"), _checked(data["n"], int, "hypergraph n"),
+        [_int_tuple(e, "a hypergraph edge")
+         for e in _checked(data["edges"], list, "hypergraph edges")],
+        labels,
     )
 
 
@@ -65,11 +92,15 @@ def csp_to_dict(csp: Csp) -> dict:
 
 
 def csp_from_dict(data: dict) -> Csp:
-    constraints = tuple(
-        Constraint(tuple(c["scope"]), tuple(tuple(t) for t in c["falsifying"]))
-        for c in data["constraints"]
-    )
-    return Csp(int(data["n"]), int(data["k"]), int(data["q"]), constraints)
+    constraints = []
+    for c in _checked(data["constraints"], list, "csp constraints"):
+        _checked(c, dict, "a csp constraint")
+        falsifying = _checked(c["falsifying"], list, "constraint falsifying")
+        constraints.append(Constraint(
+            _int_tuple(c["scope"], "constraint scope"),
+            tuple(_int_tuple(t, "a falsifying tuple") for t in falsifying)))
+    n, k, q = (_checked(data[key], int, f"csp {key}") for key in ("n", "k", "q"))
+    return Csp(n, k, q, tuple(constraints))
 
 
 def container_trace_to_dict(trace: ContainerTrace) -> dict:

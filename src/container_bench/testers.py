@@ -20,7 +20,7 @@ import numpy as np
 
 from .core import Graph, Hypergraph, WorkCapExceeded, bits_of, mask_of
 from .csp import Csp, is_satisfiable, restrict
-from .rationals import ceil_frac
+from .rationals import ceil_frac, sign_with_ln
 from .rng import GENERATOR_NAME, sample_without_replacement
 
 DEFAULT_SEARCH_CAP = 10_000_000
@@ -31,7 +31,9 @@ class SatTesterParams:
     """Sample size for the canonical satisfiability tester.
 
     When s is not given it is derived as ceil(c * (k q^3 / eps) * ln^2(kq/eps))
-    (the theorem-statement form of the sample bound).
+    (the theorem-statement form of the sample bound), exactly: a float
+    estimate is corrected with sign_with_ln, so the result does not depend on
+    libm at integer boundaries.
     """
 
     epsilon: Fraction
@@ -42,9 +44,14 @@ class SatTesterParams:
         if self.s is not None:
             s = self.s
         else:
-            lead = float(self.c) * k * q**3 / float(self.epsilon)
-            log_term = math.log(k * q / float(self.epsilon)) ** 2
-            s = math.ceil(lead * log_term)
+            lead = self.c * k * q**3 / self.epsilon
+            x = k * q / self.epsilon
+            # Least integer s with s - lead * ln(x)^2 >= 0.
+            s = math.ceil(float(lead) * math.log(x) ** 2)
+            while sign_with_ln(Fraction(s - 1), 0, -lead, x) >= 0:
+                s -= 1
+            while sign_with_ln(Fraction(s), 0, -lead, x) < 0:
+                s += 1
         if not 1 <= s <= n:
             raise ValueError(f"sample size {s} must lie in [1, n={n}]")
         return s

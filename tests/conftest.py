@@ -80,11 +80,12 @@ def oracle_independent_sets(host, size=None, variable_distinct=False):
 def oracle_min_falsified(csp: Csp) -> tuple[int, Fraction]:
     import math
 
+    falsifying = [(c.scope, set(c.falsifying)) for c in csp.constraints]
     best = None
     for assignment in itertools.product(range(csp.k), repeat=csp.n):
         count = 0
-        for c in csp.constraints:
-            if tuple(assignment[i] for i in c.scope) in set(c.falsifying):
+        for scope, falsified in falsifying:
+            if tuple(assignment[i] for i in scope) in falsified:
                 count += 1
         best = count if best is None else min(best, count)
     denom = math.comb(csp.n, csp.q)

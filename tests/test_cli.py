@@ -453,3 +453,58 @@ def test_verify_shrinking_runs_the_oracle_once_per_entry(tmp_path, monkeypatch):
     assert len(calls) == 3
     assert len({serialize.canonical_dumps(serialize.graph_to_dict(g))
                 for g in calls}) == 3
+
+
+def test_wrong_shape_json_is_usage_error(tmp_path, triangle_csp, capsys):
+    from fractions import Fraction
+
+    from container_bench import certify_far
+
+    csp_dict = serialize.csp_to_dict(triangle_csp)
+    cert = serialize.certificate_to_dict(certify_far(triangle_csp, Fraction(1, 3)))
+    listed_cert = make_corpus(tmp_path / "cert", [("tri", csp_dict, cert)])
+    (listed_cert / "tri" / "certificate.json").write_text("[1, 2]\n")
+    listed_inst = make_corpus(tmp_path / "inst", [("tri", csp_dict, cert)])
+    (listed_inst / "tri" / "instance.json").write_text("[1]\n")
+    string_constraints = tmp_path / "bad.json"
+    string_constraints.write_text(json.dumps({**csp_dict, "constraints": "x"}))
+    number_epsilon = make_corpus(tmp_path / "eps", [("tri", csp_dict, {**cert, "epsilon": 5})])
+    capsys.readouterr()
+    for argv, named in (
+            (["verify", "gcl-sat", "--corpus", str(number_epsilon), "--workers", "1"],
+             "p/q"),
+            (["verify", "gcl-sat", "--corpus", str(listed_cert), "--workers", "1"],
+             "certificate.json"),
+            (["verify", "closure", "--corpus", str(listed_inst)], "instance.json"),
+            (["certify", "--csp", str(string_constraints), "--epsilon", "1/3"],
+             "constraints")):
+        assert run_cli(*argv, "--out", str(tmp_path / "r.json")) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and named in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "r.json").exists()
+
+
+@pytest.mark.parametrize("field, value", [
+    ("n", "3"), ("n", True), ("k", 2.0), ("constraints", {}),
+    ("constraints", ["x"]), ("scope", "01"), ("scope", [0, "1"]),
+    ("falsifying", [0, 0]), ("falsifying", [[0, 0.5]]),
+])
+def test_csp_from_dict_rejects_wrong_field_types(triangle_csp, field, value):
+    data = serialize.csp_to_dict(triangle_csp)
+    if field in ("scope", "falsifying"):
+        data["constraints"][0][field] = value
+    else:
+        data[field] = value
+    with pytest.raises(ValueError):
+        serialize.csp_from_dict(data)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("n", None), ("n", False), ("edges", "01"), ("edges", [0, 1]),
+    ("edges", [[0, "1"]]),
+])
+def test_graph_from_dict_rejects_wrong_field_types(k4, field, value):
+    data = {**serialize.graph_to_dict(k4), field: value}
+    with pytest.raises(ValueError):
+        serialize.graph_from_dict(data)

@@ -1,4 +1,5 @@
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -11,6 +12,8 @@ from container_bench import (
     build_hypergraph,
     distance_to_sat,
     enumerate_independent_sets,
+    gen_planted_sat_csp,
+    gen_random_csp,
     is_satisfiable,
     restrict,
     vars_of,
@@ -163,3 +166,101 @@ def test_restriction_preserves_satisfiability(nae_csp):
     for size in range(4):
         for sub in itertools.combinations(range(3), size):
             assert distance_to_sat(restrict(nae_csp, sub).csp).min_falsified == 0
+
+
+# ---------------------------------------------------------- distance_to_sat
+
+
+def old_distance_sweep(csp: Csp) -> tuple[int, tuple[int, ...]]:
+    """The pure-Python sweep that distance_to_sat replaced: product order, a
+    strict < so the first minimum is kept, and a stop at the first 0."""
+    best, witness = None, ()
+    for assignment in itertools.product(range(csp.k), repeat=csp.n):
+        count = csp.falsified_count(assignment)
+        if best is None or count < best:
+            best, witness = count, assignment
+            if best == 0:
+                break
+    return best, witness
+
+
+def assert_matches_old_sweep(csp: Csp) -> None:
+    dist = distance_to_sat(csp)
+    assert (dist.min_falsified, dist.distance) == oracle_min_falsified(csp)
+    assert (dist.min_falsified, dist.witness) == old_distance_sweep(csp)
+    assert type(dist.min_falsified) is int
+    assert all(type(a) is int for a in dist.witness)
+
+
+def seeded_csps(count: int, seed: int):
+    """Random and planted instances, n 0-9, k 1-3, q 1-3; k = 3 stops at
+    n = 7 here (3^9 assignments are left to test_distance_large_alphabet)."""
+    rng = random.Random(seed)
+    for i in range(count):
+        k, q = rng.randint(1, 3), rng.randint(1, 3)
+        n = rng.randint(0, 9 if k < 3 else 7)
+        density = Fraction(rng.randint(1, 4), 4)
+        if i % 2:
+            yield gen_planted_sat_csp(n, k, q, density, rng.getrandbits(32))[0]
+        else:
+            yield gen_random_csp(n, k, q, density, Fraction(rng.randint(0, 4), 4),
+                                 rng.getrandbits(32))
+
+
+def test_distance_differential_on_seeded_csps():
+    count = 0
+    for csp in seeded_csps(1000, seed=20260418):
+        assert_matches_old_sweep(csp)
+        count += 1
+    assert count == 1000
+
+
+@pytest.mark.parametrize("n, q, seed", [(8, 2, 1), (9, 2, 2), (9, 3, 3)])
+def test_distance_large_alphabet(n, q, seed):
+    assert_matches_old_sweep(gen_random_csp(n, 3, q, Fraction(1, 4), Fraction(1, 3), seed))
+
+
+def test_distance_edge_cases():
+    for csp in (Csp.of(0, 2, 1, []), Csp.of(0, 1, 3, []), Csp.of(6, 3, 2, []),
+                Csp.of(5, 1, 2, [((0, 1), [(0, 0)]), ((2, 4), [(0, 0)])]),
+                Csp.of(4, 1, 1, [((3,), [])])):
+        assert_matches_old_sweep(csp)
+    assert distance_to_sat(Csp.of(0, 2, 1, [])).witness == ()
+    assert distance_to_sat(Csp.of(6, 3, 2, [])).witness == (0,) * 6
+    # every tuple falsifying: every assignment falsifies every constraint
+    full = Csp.of(7, 2, 2, [(scope, list(itertools.product(range(2), repeat=2)))
+                            for scope in itertools.combinations(range(7), 2)])
+    dist = distance_to_sat(full)
+    assert (dist.min_falsified, dist.distance, dist.witness) == (21, Fraction(1), (0,) * 7)
+
+
+def pinned_csp(n: int, k: int, index: int) -> tuple[Csp, tuple[int, ...]]:
+    """Unary constraints whose only satisfying assignment is number `index`
+    in itertools.product order."""
+    digits = [(index // k ** (n - 1 - x)) % k for x in range(n)]
+    return Csp.of(n, k, 1, [((x,), [(a,) for a in range(k) if a != digits[x]])
+                            for x in range(n)]), tuple(digits)
+
+
+@pytest.mark.parametrize("n, k, index", [
+    (8, 2, 63), (8, 2, 64), (8, 2, 191), (8, 2, 192), (8, 2, 255),
+    (9, 3, 100), (9, 3, 3**9 - 1), (15, 2, 16383), (15, 2, 16384), (15, 2, 30001),
+])
+def test_distance_finds_a_satisfying_assignment_beyond_the_first_chunk(n, k, index):
+    csp, digits = pinned_csp(n, k, index)
+    dist = distance_to_sat(csp)
+    assert (dist.min_falsified, dist.witness) == (0, digits)
+    if k**n <= 3**8:
+        # the same pin as binary constraints, merged into a planted instance
+        planted, _ = gen_planted_sat_csp(n, k, 2, Fraction(1, 2), index)
+        pins = [((x, (x + 1) % n), [(a, b) for a in range(k) for b in range(k)
+                                    if a != digits[x]]) for x in range(n)]
+        assert_matches_old_sweep(Csp.of(
+            n, k, 2, [(c.scope, c.falsifying) for c in planted.constraints] + pins))
+
+
+def test_distance_cap_boundary():
+    csp = gen_random_csp(7, 3, 2, Fraction(1, 2), Fraction(1, 3), 5)
+    assert distance_to_sat(csp, cap=3**7) == distance_to_sat(csp)
+    with pytest.raises(WorkCapExceeded, match=r"^k\^n = 3\^7 exceeds the assignment cap 2186$"):
+        distance_to_sat(csp, cap=3**7 - 1)

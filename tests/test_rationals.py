@@ -26,6 +26,12 @@ def test_parse_rational_strict():
             parse_rational(bad)
 
 
+def test_parse_rational_rejects_non_strings():
+    for bad in (5, None, ["1/3"], Fraction(1, 3)):
+        with pytest.raises(RationalParseError):
+            parse_rational(bad)
+
+
 def test_format_roundtrip():
     for f in (Fraction(1, 3), Fraction(0), Fraction(-5, 7), Fraction(4)):
         assert parse_rational(format_rational(f)) == f

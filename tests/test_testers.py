@@ -23,6 +23,7 @@ from container_bench import (
     shpp_to_sat,
     star_tester,
 )
+from container_bench.rationals import ln_interval
 from container_bench.rng import make_rng, substream_seed
 from container_bench.testers import QueryCountingGraph, has_independent_set_of_size
 
@@ -84,6 +85,32 @@ def test_sat_params_derivation_and_validation():
         SatTesterParams(Fraction(1, 4), s=11).resolve_s(10, 2, 2)
     with pytest.raises(ValueError):
         SatTesterParams(Fraction(1, 4), s=0).resolve_s(10, 2, 2)
+
+
+def test_sat_params_derived_s_matches_float_away_from_boundaries():
+    for eps in (Fraction(1, 2), Fraction(1, 3), Fraction(1, 4), Fraction(2, 7), Fraction(1, 10)):
+        for k, q in itertools.product((1, 2, 3), (1, 2, 3)):
+            for c in (Fraction(1, 1000), Fraction(1, 7), Fraction(1), Fraction(5, 2)):
+                value = float(c) * k * q**3 / float(eps) * math.log(k * q / float(eps)) ** 2
+                if abs(value - round(value)) < 1e-6:
+                    continue
+                derived = SatTesterParams(eps, c=c).resolve_s(10**9, k, q)
+                assert derived == math.ceil(value)
+
+
+def test_sat_params_derived_s_is_exact_at_a_boundary():
+    # c chosen so that c * k q^3 / eps * ln^2(kq/eps) lies within 1e-25 of
+    # 1000 (k = q = 2, eps = 1/4: x = 16, lead = 64c), above it or below it.
+    lo, hi = ln_interval(Fraction(16), terms=64)
+    assert hi - lo < Fraction(1, 10**40)
+    just_above = Fraction(1000) / (64 * lo * lo) * (1 + Fraction(1, 10**25))
+    just_below = Fraction(1000) / (64 * hi * hi) * (1 - Fraction(1, 10**25))
+    eps = Fraction(1, 4)
+    assert SatTesterParams(eps, c=just_above).resolve_s(10**9, 2, 2) == 1001
+    assert SatTesterParams(eps, c=just_below).resolve_s(10**9, 2, 2) == 1000
+    # the float formula cannot tell the two apart
+    for c in (just_above, just_below):
+        assert float(c) * 2 * 8 / float(eps) * math.log(16) ** 2 == pytest.approx(1000, abs=1e-9)
 
 
 def test_sat_tester_report_fields(triangle_csp):
