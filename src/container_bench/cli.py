@@ -12,9 +12,16 @@ re-running a report's embedded config reproduces it byte-for-byte.
 
 Corpus layout: a directory with one subdirectory per instance, each holding
 instance.json and certificate.json.  verify gcl-sat, gcl-star and shrinking
-read the certificate and exit 2, before any verdict, naming any entry without
-one or whose instance_hash is not that of its canonical instance; verify
-closure and container-degree read instance.json only.
+read each certificate with serialize.certificate_from_dict and exit 2, before
+any verdict, naming every entry whose certificate is missing, malformed, of
+the other instance kind, or bound to another instance (its instance_hash is
+not that of the canonical instance); verify closure and container-degree read
+instance.json only.  Every entry is parsed once.
+
+Corpus sweep: gcl-sat, gcl-star, closure --corpus and container-degree run
+one check per corpus entry through _sweep.  A check returns a summary or a
+counterexample; the first counterexample in corpus order wins, whatever the
+number of workers, and a serial sweep stops there.
 """
 
 from __future__ import annotations
@@ -27,6 +34,7 @@ import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
+from functools import partial
 from pathlib import Path
 
 from . import __version__, serialize
@@ -36,9 +44,8 @@ from .core import (
     enumerate_independent_sets,
     mask_of,
 )
-from .csp import build_hypergraph, distance_to_sat, vars_of
+from .csp import Csp, build_hypergraph, distance_to_sat, vars_of
 from .containers_sat import (
-    NotFarError,
     check_closure,
     check_container_degree,
     check_edges_bound,
@@ -138,8 +145,6 @@ def _config_of(args: argparse.Namespace) -> dict:
             continue
         if isinstance(value, Fraction):
             value = format_rational(value)
-        elif isinstance(value, Path):
-            value = str(value)
         elif isinstance(value, tuple):
             value = list(value)
         config[key] = value
@@ -165,6 +170,21 @@ def _emit_json(args, payload: dict) -> None:
     _write_text(args.out, serialize.canonical_dumps(payload))
 
 
+def _csv_text(header: list, rows) -> str:
+    buf = io.StringIO()
+    writer = csv_mod.writer(buf)
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buf.getvalue()
+
+
+def _trials_csv(rows) -> str:
+    """CSV of (trial, seed, verdict, queries) rows; no query count is empty."""
+    return _csv_text(["trial", "seed", "verdict", "queries"],
+                     ([trial, seed, verdict, "" if queries is None else queries]
+                      for trial, seed, verdict, queries in rows))
+
+
 def _load_json(path) -> dict:
     with open(path) as fh:
         data = json.load(fh)
@@ -173,22 +193,9 @@ def _load_json(path) -> dict:
     return data
 
 
-def _load_csp(path):
-    return serialize.csp_from_dict(_load_json(path))
-
-
-def _load_graph(path):
-    return serialize.graph_from_dict(_load_json(path))
-
-
-def _load_hypergraph(path):
-    return serialize.hypergraph_from_dict(_load_json(path))
-
-
-def _corpus_entries(corpus: str) -> list[tuple[str, dict, dict]]:
-    root = Path(corpus)
+def _corpus_files(corpus: str) -> list[tuple[str, dict, "dict | None"]]:
     entries = []
-    for inst_path in sorted(root.glob("*/instance.json")):
+    for inst_path in sorted(Path(corpus).glob("*/instance.json")):
         cert_path = inst_path.parent / "certificate.json"
         cert = _load_json(cert_path) if cert_path.exists() else None
         entries.append((inst_path.parent.name, _load_json(inst_path), cert))
@@ -197,18 +204,51 @@ def _corpus_entries(corpus: str) -> list[tuple[str, dict, dict]]:
     return entries
 
 
-def _certified_entries(corpus: str, from_dict, to_dict) -> list[tuple[str, dict, dict]]:
-    """Certified corpus entries; from_dict / to_dict re-serialize the instance."""
-    entries = _corpus_entries(corpus)
-    missing = [name for name, _inst, cert in entries if cert is None]
-    if missing:
-        raise FileNotFoundError(
-            f"no certificate.json in corpus entries: {', '.join(missing)}")
-    unbound = [name for name, inst, cert in entries
-               if cert.get("instance_hash") != instance_digest(to_dict(from_dict(inst)))]
-    if unbound:
-        raise ValueError("certificate instance_hash does not match instance.json "
-                         f"in corpus entries: {', '.join(unbound)}")
+def _instance_from_dict(data: dict, kind: str):
+    """A "csp", "graph" or "hypergraph" instance read from its wire format."""
+    if kind == "csp":
+        return serialize.csp_from_dict(data)
+    if kind == "graph":
+        return serialize.graph_from_dict(data)
+    return serialize.hypergraph_from_dict(data)
+
+
+def _load(path, kind: str):
+    return _instance_from_dict(_load_json(path), kind)
+
+
+def _corpus_entries(corpus: str, kind: "str | None" = None) -> list[tuple]:
+    """(name, instance, None) per entry; kind None reads each by its fields."""
+    return [(name, _instance_from_dict(
+                 inst, kind or ("csp" if "constraints" in inst else "graph")), None)
+            for name, inst, _cert in _corpus_files(corpus)]
+
+
+def _named(names: list[str], problem: str) -> None:
+    if names:
+        raise ValueError(f"{problem} in corpus entries: {', '.join(names)}")
+
+
+def _certified_entries(corpus: str, kind: str) -> list[tuple]:
+    """(name, instance, FarCertificate) per entry, each parsed once; exits 2
+    (ValueError) before any verdict on a missing, malformed, wrong-kind or
+    unbound certificate."""
+    files = _corpus_files(corpus)
+    _named([name for name, _inst, cert in files if cert is None], "no certificate.json")
+    entries = []
+    for name, inst, cert in files:
+        try:
+            entries.append((name, inst, serialize.certificate_from_dict(cert)))
+        except (KeyError, ValueError) as exc:
+            raise ValueError(f"corpus entry {name}: certificate.json: {exc}") from None
+    _named([name for name, _inst, cert in entries if cert.kind != kind],
+           f"certificate kind is not {kind!r}")
+    to_dict = serialize.csp_to_dict if kind == "csp" else serialize.graph_to_dict
+    entries = [(name, _instance_from_dict(inst, kind), cert)
+               for name, inst, cert in entries]
+    _named([name for name, instance, cert in entries
+            if cert.instance_hash != instance_digest(to_dict(instance))],
+           "certificate instance_hash does not match instance.json")
     return entries
 
 
@@ -239,19 +279,12 @@ def _cmd_gen_graph(args) -> int:
 
 
 def _cmd_build_hypergraph(args) -> int:
-    csp = _load_csp(args.csp)
+    csp = _load(args.csp, "csp")
     _emit_json(args, serialize.hypergraph_to_dict(build_hypergraph(csp)))
     return EXIT_OK
 
 
-def _cmd_dist_csp(args) -> int:
-    csp = _load_csp(args.csp)
-    dist = distance_to_sat(csp)
-    payload = {
-        "min_falsified": dist.min_falsified,
-        "distance": format_rational(dist.distance),
-        "witness_assignment": list(dist.witness),
-    }
+def _emit_distance(args, dist, payload: dict) -> int:
     if args.epsilon is not None:
         payload["epsilon"] = format_rational(args.epsilon)
         payload["far"] = dist.is_far(args.epsilon)
@@ -259,8 +292,19 @@ def _cmd_dist_csp(args) -> int:
     return EXIT_OK
 
 
+def _cmd_dist_csp(args) -> int:
+    csp = _load(args.csp, "csp")
+    dist = distance_to_sat(csp)
+    payload = {
+        "min_falsified": dist.min_falsified,
+        "distance": format_rational(dist.distance),
+        "witness_assignment": list(dist.witness),
+    }
+    return _emit_distance(args, dist, payload)
+
+
 def _cmd_dist_graph(args) -> int:
-    graph = _load_graph(args.graph)
+    graph = _load(args.graph, "graph")
     dist = distance_to_rho_is(graph, args.rho)
     payload = {
         "min_edits": dist.min_edits,
@@ -269,18 +313,11 @@ def _cmd_dist_graph(args) -> int:
         "argmin_subset": list(dist.witness),
         "rho": format_rational(args.rho),
     }
-    if args.epsilon is not None:
-        payload["epsilon"] = format_rational(args.epsilon)
-        payload["far"] = dist.is_far(args.epsilon)
-    _emit_json(args, payload)
-    return EXIT_OK
+    return _emit_distance(args, dist, payload)
 
 
 def _cmd_certify(args) -> int:
-    if args.csp:
-        instance = _load_csp(args.csp)
-    else:
-        instance = _load_graph(args.graph)
+    instance = _load(args.csp, "csp") if args.csp else _load(args.graph, "graph")
     cert = certify_far(instance, args.epsilon, args.rho)
     if cert is None:
         _emit_json(args, {"far": False, "epsilon": format_rational(args.epsilon)})
@@ -294,139 +331,126 @@ def _cmd_certify(args) -> int:
 
 def _independent_sets_for(args, host, variable_distinct: bool):
     if args.all_independent_sets:
-        yield from enumerate_independent_sets(
-            host, variable_distinct=variable_distinct)
-    else:
-        yield args.independent_set
+        return enumerate_independent_sets(host, variable_distinct=variable_distinct)
+    return [args.independent_set]
+
+
+def _emit_traces(args, traces, to_dict, columns, sizes) -> int:
+    """JSON trace records, or one CSV row per (trace, t): the fingerprint
+    size, then sizes(trace, t) under the given column names."""
+    if args.format == "json":
+        _emit_json(args, {"traces": [to_dict(t) for t in traces]})
+        return EXIT_OK
+    _write_text(args.out, _csv_text(
+        ["independent_set", "t", "fingerprint_size", *columns],
+        ([";".join(map(str, trace.independent_set)), t, len(trace.fingerprint_at(t)),
+          *sizes(trace, t)]
+         for trace in traces for t in range(1, trace.iteration_count + 1))))
+    return EXIT_OK
 
 
 def _cmd_containers_sat(args) -> int:
-    csp = _load_csp(args.csp)
+    csp = _load(args.csp, "csp")
     h = build_hypergraph(csp)
     n_bound = args.n_bound if args.n_bound is not None else csp.n
     traces = [
         run_generator(h, n_bound, iset, deg_mode=args.deg_mode)
         for iset in _independent_sets_for(args, h, args.variable_distinct)
     ]
-    if args.format == "json":
-        payload = {"traces": [serialize.container_trace_to_dict(t) for t in traces]}
-        _emit_json(args, payload)
-    else:
-        buf = io.StringIO()
-        writer = csv_mod.writer(buf)
-        writer.writerow(["independent_set", "t", "fingerprint_size",
-                         "container_size", "vars"])
-        for trace in traces:
-            name = ";".join(map(str, trace.independent_set))
-            for t in range(1, trace.iteration_count + 1):
-                c = trace.container_at(t)
-                writer.writerow([name, t, len(trace.fingerprint_at(t)), len(c),
-                                 vars_of(h, c)])
-        _write_text(args.out, buf.getvalue())
-    return EXIT_OK
+    return _emit_traces(args, traces, serialize.container_trace_to_dict,
+                        ["container_size", "vars"],
+                        lambda tr, t: (len(tr.container_at(t)),
+                                       vars_of(h, tr.container_at(t))))
 
 
 def _cmd_containers_star(args) -> int:
-    graph = _load_graph(args.graph)
+    graph = _load(args.graph, "graph")
     traces = [
         run_star_generator(graph, iset)
         for iset in _independent_sets_for(args, graph, False)
     ]
-    if args.format == "json":
-        payload = {"traces": [serialize.star_trace_to_dict(t) for t in traces]}
-        _emit_json(args, payload)
-    else:
-        buf = io.StringIO()
-        writer = csv_mod.writer(buf)
-        writer.writerow(["independent_set", "t", "fingerprint_size",
-                         "inner_size", "outer_size"])
-        for trace in traces:
-            name = ";".join(map(str, trace.independent_set))
-            for t in range(1, trace.iteration_count + 1):
-                writer.writerow([name, t, len(trace.fingerprint_at(t)),
-                                 len(trace.inner_at(t)), len(trace.outer_at(t))])
-        _write_text(args.out, buf.getvalue())
-    return EXIT_OK
+    return _emit_traces(args, traces, serialize.star_trace_to_dict,
+                        ["inner_size", "outer_size"],
+                        lambda tr, t: (len(tr.inner_at(t)), len(tr.outer_at(t))))
 
 
 # ---------------------------------------------------------------- verifiers
 
 
-def _gcl_sat_instance(entry) -> dict:
-    name, inst, cert = entry
-    csp = serialize.csp_from_dict(inst)
-    epsilon = parse_rational(cert["epsilon"])
-    distance = distance_to_sat(csp)
-    h = build_hypergraph(csp)
-    checked = 0
-    for iset in enumerate_independent_sets(h, variable_distinct=True):
-        outcome = verify_gcl_sat(csp, epsilon, iset, distance=distance)
-        checked += 1
-        if not outcome.ok:
-            return {"instance": name, "independent_set": list(iset),
-                    "epsilon": format_rational(epsilon),
-                    "t_max": outcome.t_max,
-                    "checks": [[c.t, c.vars_in_container, c.ok]
-                               for c in outcome.checks],
-                    "violation": "no witness t"}
-    return {"instance": name, "independent_sets_checked": checked}
+def _parallel_map(fn, items: list, workers: int):
+    """fn over items, in order.  Serially it is lazy (a sweep stops at its first
+    counterexample) and empties items as it goes (one entry's memos at a time)."""
+    if workers <= 1 or len(items) < 2:
+        return map(fn, (items.pop(0) for _ in range(len(items))))
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(fn, items))
 
 
-def _cmd_verify_gcl_sat(args) -> int:
-    entries = _certified_entries(args.corpus, serialize.csp_from_dict,
-                                 serialize.csp_to_dict)
-    results = _parallel_map(_gcl_sat_instance, entries, args.workers)
-    summaries, violation = [], None
-    for res in results:
-        if "violation" in res:
-            violation = res
-            break
-        summaries.append(res)
-    if violation is not None:
-        raise CounterexampleFound({"verifier": "gcl-sat", **violation})
-    _emit_json(args, {"verifier": "gcl-sat", "instances": summaries})
+def _sweep(args, verifier: str, check, entries: list, workers: int = 1) -> int:
+    """Run check over the corpus entries; the first counterexample in corpus
+    order wins.  check(entry) is a picklable top-level function returning
+    (summary, None) or (None, counterexample)."""
+    summaries = []
+    for summary, counterexample in _parallel_map(check, entries, workers):
+        if counterexample is not None:
+            raise CounterexampleFound({"verifier": verifier, **counterexample})
+        summaries.append(summary)
+    _emit_json(args, {"verifier": verifier, "instances": summaries})
     return EXIT_OK
 
 
-def _gcl_star_instance(entry) -> dict:
-    name, inst, cert = entry
-    graph = serialize.graph_from_dict(inst)
-    epsilon = parse_rational(cert["epsilon"])
-    rho = parse_rational(cert["params"]["rho"])
+def _every_set(name: str, sets, failure) -> tuple:
+    """(summary, None) if failure(iset) is None for every set, else
+    (None, counterexample) for the first set where it is not."""
+    checked = 0
+    for iset in sets:
+        found = failure(iset)
+        if found is not None:
+            return None, {"instance": name, "independent_set": list(iset), **found}
+        checked += 1
+    return {"instance": name, "independent_sets_checked": checked}, None
+
+
+def _gcl_sat_instance(entry) -> tuple:
+    name, csp, cert = entry
+    distance = distance_to_sat(csp)
+
+    def failure(iset):
+        outcome = verify_gcl_sat(csp, cert.epsilon, iset, distance=distance)
+        if not outcome.ok:
+            return {"epsilon": format_rational(cert.epsilon), "t_max": outcome.t_max,
+                    "checks": [[c.t, c.vars_in_container, c.ok] for c in outcome.checks],
+                    "violation": "no witness t"}
+    h = build_hypergraph(csp)
+    return _every_set(name, enumerate_independent_sets(h, variable_distinct=True),
+                      failure)
+
+
+def _gcl_star_instance(entry) -> tuple:
+    name, graph, cert = entry
+    epsilon, rho = cert.epsilon, parse_rational(cert.params["rho"])
     bounds = StarBounds.of(graph.n, rho, epsilon)
     distance = distance_to_rho_is(graph, rho)
-    checked = 0
-    for iset in enumerate_independent_sets(graph):
+
+    def failure(iset):
         outcome = verify_gcl_star(graph, rho, epsilon, iset, distance=distance,
                                   bounds=bounds)
-        checked += 1
         if not outcome.ok or not outcome.restated_ok:
-            return {"instance": name, "independent_set": list(iset),
-                    "epsilon": format_rational(epsilon),
-                    "rho": format_rational(rho),
-                    "t_max": outcome.t_max,
-                    "threshold_t": outcome.threshold_t,
+            return {"epsilon": format_rational(epsilon), "rho": format_rational(rho),
+                    "t_max": outcome.t_max, "threshold_t": outcome.threshold_t,
                     "checks": [[c.t, c.inner_size, c.outer_size, c.ok]
                                for c in outcome.checks],
                     "violation": ("no witness t" if not outcome.ok
                                   else "restated inner-container bound failed")}
-    return {"instance": name, "independent_sets_checked": checked}
+    return _every_set(name, enumerate_independent_sets(graph), failure)
 
 
-def _cmd_verify_gcl_star(args) -> int:
-    entries = _certified_entries(args.corpus, serialize.graph_from_dict,
-                                 serialize.graph_to_dict)
-    results = _parallel_map(_gcl_star_instance, entries, args.workers)
-    summaries, violation = [], None
-    for res in results:
-        if "violation" in res:
-            violation = res
-            break
-        summaries.append(res)
-    if violation is not None:
-        raise CounterexampleFound({"verifier": "gcl-star", **violation})
-    _emit_json(args, {"verifier": "gcl-star", "instances": summaries})
-    return EXIT_OK
+def _cmd_verify_gcl(args) -> int:
+    """verify gcl-sat on a CSP corpus, or gcl-star on a graph corpus."""
+    sat = args.verifier == "gcl-sat"
+    check = _gcl_sat_instance if sat else _gcl_star_instance
+    return _sweep(args, args.verifier, check,
+                  _certified_entries(args.corpus, "csp" if sat else "graph"), args.workers)
 
 
 def _verify_trace_file(args) -> int:
@@ -434,90 +458,62 @@ def _verify_trace_file(args) -> int:
     if data.get("kind") == "star-container-trace":
         trace = serialize.star_trace_from_dict(data)
         fresh = run_star_generator(trace.graph, trace.independent_set)
-        for t in range(1, max(trace.iteration_count, fresh.iteration_count) + 1):
-            if (trace.inner_at(t) != fresh.inner_at(t)
-                    or trace.outer_at(t) != fresh.outer_at(t)
-                    or trace.fingerprint_at(t) != fresh.fingerprint_at(t)):
-                raise CounterexampleFound({
-                    "verifier": "closure", "trace": str(args.trace),
-                    "mismatch_t": t,
-                    "recorded_inner": list(trace.inner_at(t)),
-                    "recomputed_inner": list(fresh.inner_at(t)),
-                    "recorded_outer": list(trace.outer_at(t)),
-                    "recomputed_outer": list(fresh.outer_at(t)),
-                })
+        fields = ("inner", "outer")
     else:
         trace = serialize.container_trace_from_dict(data)
         fresh = run_generator(trace.hypergraph, trace.n_bound,
                               trace.independent_set, deg_mode=trace.deg_mode)
-        for t in range(1, max(trace.iteration_count, fresh.iteration_count) + 1):
-            if (trace.container_at(t) != fresh.container_at(t)
-                    or trace.fingerprint_at(t) != fresh.fingerprint_at(t)):
-                raise CounterexampleFound({
-                    "verifier": "closure", "trace": str(args.trace),
-                    "mismatch_t": t,
-                    "recorded_container": list(trace.container_at(t)),
-                    "recomputed_container": list(fresh.container_at(t)),
-                })
+        fields = ("container",)
+    for t in range(1, max(trace.iteration_count, fresh.iteration_count) + 1):
+        recorded = [getattr(trace, f"{f}_at")(t) for f in fields]
+        recomputed = [getattr(fresh, f"{f}_at")(t) for f in fields]
+        if trace.fingerprint_at(t) != fresh.fingerprint_at(t) or recorded != recomputed:
+            raise CounterexampleFound({
+                "verifier": "closure", "trace": str(args.trace), "mismatch_t": t,
+                **{f"recorded_{f}": list(c) for f, c in zip(fields, recorded)},
+                **{f"recomputed_{f}": list(c) for f, c in zip(fields, recomputed)}})
     _emit_json(args, {"verifier": "closure", "trace": str(args.trace),
                       "replayed": True})
     return EXIT_OK
 
 
+def _closure_instance(entry) -> tuple:
+    name, instance, _cert = entry
+    if isinstance(instance, Csp):
+        h = build_hypergraph(instance)
+        sets = enumerate_independent_sets(h, variable_distinct=True)
+        outcome_of = partial(check_closure, h, instance.n)
+    else:
+        sets = enumerate_independent_sets(instance)
+        outcome_of = partial(check_star_closure, instance)
+
+    def failure(iset):
+        outcome = outcome_of(iset)
+        return None if outcome.ok else {"mismatch_t": outcome.first_mismatch_t}
+    return _every_set(name, sets, failure)
+
+
 def _cmd_verify_closure(args) -> int:
     if args.trace is not None:
         return _verify_trace_file(args)
-    entries = _corpus_entries(args.corpus)
-    summaries = []
-    for name, inst, _cert in entries:
-        if "constraints" in inst:
-            csp = serialize.csp_from_dict(inst)
-            h = build_hypergraph(csp)
-            checked = 0
-            for iset in enumerate_independent_sets(h, variable_distinct=True):
-                outcome = check_closure(h, csp.n, iset)
-                checked += 1
-                if not outcome.ok:
-                    raise CounterexampleFound({
-                        "verifier": "closure", "instance": name,
-                        "independent_set": list(iset),
-                        "mismatch_t": outcome.first_mismatch_t})
-        else:
-            graph = serialize.graph_from_dict(inst)
-            checked = 0
-            for iset in enumerate_independent_sets(graph):
-                outcome = check_star_closure(graph, iset)
-                checked += 1
-                if not outcome.ok:
-                    raise CounterexampleFound({
-                        "verifier": "closure", "instance": name,
-                        "independent_set": list(iset),
-                        "mismatch_t": outcome.first_mismatch_t})
-        summaries.append({"instance": name, "independent_sets_checked": checked})
-    _emit_json(args, {"verifier": "closure", "instances": summaries})
-    return EXIT_OK
+    return _sweep(args, "closure", _closure_instance, _corpus_entries(args.corpus))
 
 
 def _cmd_verify_edges_bound(args) -> int:
     outcomes = []
     if args.hypergraph:
-        h = _load_hypergraph(args.hypergraph)
-        outcome = check_edges_bound(h)
+        outcome = check_edges_bound(_load(args.hypergraph, "hypergraph"))
+        summary = {"hypergraph": str(args.hypergraph),
+                   "heavy_count": outcome.heavy_count,
+                   "lower_bound": format_rational(outcome.lower_bound)}
         if not outcome.ok:
-            raise CounterexampleFound({
-                "verifier": "edges-bound", "hypergraph": str(args.hypergraph),
-                "heavy_count": outcome.heavy_count,
-                "lower_bound": format_rational(outcome.lower_bound)})
-        outcomes.append({"hypergraph": str(args.hypergraph),
-                         "heavy_count": outcome.heavy_count,
-                         "lower_bound": format_rational(outcome.lower_bound)})
+            raise CounterexampleFound({"verifier": "edges-bound", **summary})
+        outcomes.append(summary)
     else:
         rng = make_rng(args.seed)
-        ells = args.ell
-        produced = 0
         attempt = 0
-        while produced < args.random:
-            ell = ells[attempt % len(ells)]
+        while len(outcomes) < args.random:
+            ell = args.ell[attempt % len(args.ell)]
             n = ell + int(rng.integers(0, args.max_vertices - ell + 1))
             density = 0.1 + 0.8 * float(rng.random())
             h = gen_random_hypergraph(n, ell, Fraction(density).limit_denominator(1000),
@@ -525,7 +521,6 @@ def _cmd_verify_edges_bound(args) -> int:
             attempt += 1
             if not h.edges:
                 continue
-            produced += 1
             outcome = check_edges_bound(h)
             if not outcome.ok:
                 raise CounterexampleFound({
@@ -540,50 +535,42 @@ def _cmd_verify_edges_bound(args) -> int:
     return EXIT_OK
 
 
+def _container_degree_instance(entry) -> tuple:
+    name, csp, _cert = entry
+    h = build_hypergraph(csp)
+    slacks, tighter_all = [], True
+    for iset in enumerate_independent_sets(h, variable_distinct=True):
+        trace = run_generator(h, csp.n, iset)
+        if not trace.iterations:
+            continue
+        outcome = check_container_degree(trace, csp.k, csp.n)
+        if not outcome.ok:
+            bad = next(r for r in outcome.records if not r.ok)
+            return None, {"instance": name, "independent_set": list(iset),
+                          "t": bad.t, "max_degree": bad.max_degree,
+                          "bound": format_rational(bad.bound)}
+        slacks.append(outcome.worst_slack)
+        tighter_all = tighter_all and outcome.tighter_ok
+    return {
+        "instance": name, "traces_checked": len(slacks),
+        "worst_slack": format_rational(min(slacks)) if slacks else None,
+        "tighter_constant_held": tighter_all,
+    }, None
+
+
 def _cmd_verify_container_degree(args) -> int:
-    entries = _corpus_entries(args.corpus)
-    summaries = []
-    for name, inst, _cert in entries:
-        csp = serialize.csp_from_dict(inst)
-        h = build_hypergraph(csp)
-        worst = None
-        tighter_all = True
-        checked = 0
-        for iset in enumerate_independent_sets(h, variable_distinct=True):
-            trace = run_generator(h, csp.n, iset)
-            if not trace.iterations:
-                continue
-            outcome = check_container_degree(trace, csp.k, csp.n)
-            checked += 1
-            if not outcome.ok:
-                bad = next(r for r in outcome.records if not r.ok)
-                raise CounterexampleFound({
-                    "verifier": "container-degree", "instance": name,
-                    "independent_set": list(iset), "t": bad.t,
-                    "max_degree": bad.max_degree,
-                    "bound": format_rational(bad.bound)})
-            tighter_all = tighter_all and outcome.tighter_ok
-            if worst is None or outcome.worst_slack < worst:
-                worst = outcome.worst_slack
-        summaries.append({
-            "instance": name, "traces_checked": checked,
-            "worst_slack": None if worst is None else format_rational(worst),
-            "tighter_constant_held": tighter_all,
-        })
-    _emit_json(args, {"verifier": "container-degree", "instances": summaries})
-    return EXIT_OK
+    return _sweep(args, "container-degree", _container_degree_instance,
+                  _corpus_entries(args.corpus, "csp"))
 
 
-def _shrinking_instance(inst: dict, cert: dict) -> tuple:
-    graph = serialize.graph_from_dict(inst)
-    rho = parse_rational(cert["params"]["rho"])
-    return (graph, parse_rational(cert["epsilon"]), rho, distance_to_rho_is(graph, rho),
+def _shrinking_instance(graph, cert) -> tuple:
+    rho = parse_rational(cert.params["rho"])
+    return (cert.epsilon, rho, distance_to_rho_is(graph, rho),
             [s for s in enumerate_independent_sets(graph) if len(s) >= 3])
 
 
 def _cmd_verify_shrinking(args) -> int:
-    entries = _certified_entries(args.corpus, serialize.graph_from_dict,
-                                 serialize.graph_to_dict)
+    entries = _certified_entries(args.corpus, "graph")
     rng = make_rng(args.seed)
     sampled = 0
     premise_hits = 0
@@ -592,12 +579,12 @@ def _cmd_verify_shrinking(args) -> int:
     loaded: dict[str, tuple] = {}
     while sampled < args.samples:
         progressed = False
-        for name, inst, cert in entries:
+        for name, graph, cert in entries:
             if sampled >= args.samples:
                 break
             if name not in loaded:
-                loaded[name] = _shrinking_instance(inst, cert)
-            graph, epsilon, rho, distance, isets = loaded[name]
+                loaded[name] = _shrinking_instance(graph, cert)
+            epsilon, rho, distance, isets = loaded[name]
             if not isets:
                 continue
             for _ in range(min(len(isets), 8)):
@@ -647,14 +634,14 @@ def _cmd_verify_shrinking(args) -> int:
 def _tester_spec_from_args(args) -> tuple[TesterSpec, object]:
     kind = args.tester
     if kind == "sat":
-        instance = _load_csp(args.csp)
+        instance = _load(args.csp, "csp")
         options = {"epsilon": args.epsilon, "s": args.s, "c": args.c}
     elif kind == "color":
-        instance = _load_hypergraph(args.hypergraph)
+        instance = _load(args.hypergraph, "hypergraph")
         options = {"epsilon": args.epsilon, "s": args.s, "c": args.c,
                    "k": args.k}
     elif kind == "shpp":
-        instance = _load_graph(args.graph)
+        instance = _load(args.graph, "graph")
         spec_data = _load_json(args.spec)
         shpp = SHPPSpec(int(spec_data["k"]),
                         tuple(tuple(row) for row in spec_data["lower"]),
@@ -662,12 +649,12 @@ def _tester_spec_from_args(args) -> tuple[TesterSpec, object]:
         options = {"epsilon": args.epsilon, "s": args.s, "c": args.c,
                    "spec": shpp}
     elif kind == "indepset":
-        instance = _load_graph(args.graph)
+        instance = _load(args.graph, "graph")
         options = {"rho": args.rho, "epsilon": args.epsilon, "r": args.r,
                    "s": args.s, "c1": args.c1, "c2": args.c2,
                    "disjoint": args.disjoint_samples}
     elif kind == "canonical-is":
-        instance = _load_graph(args.graph)
+        instance = _load(args.graph, "graph")
         if args.s is None:
             raise ValueError("canonical-is requires --s")
         options = {"rho": args.rho, "s": args.s}
@@ -688,13 +675,8 @@ def _cmd_test(args) -> int:
                                for i, r in reports]}
         _emit_json(args, payload)
     else:
-        buf = io.StringIO()
-        writer = csv_mod.writer(buf)
-        writer.writerow(["trial", "seed", "verdict", "queries"])
-        for i, r in reports:
-            writer.writerow([i, r.seed, r.verdict,
-                             "" if r.query_count is None else r.query_count])
-        _write_text(args.out, buf.getvalue())
+        _write_text(args.out, _trials_csv((i, r.seed, r.verdict, r.query_count)
+                                          for i, r in reports))
     return EXIT_OK
 
 
@@ -705,13 +687,7 @@ def _cmd_estimate(args) -> int:
     result = estimate_acceptance(spec, instance, args.trials, args.seed,
                                  workers=args.workers)
     prefix = Path(args.out)
-    buf = io.StringIO()
-    writer = csv_mod.writer(buf)
-    writer.writerow(["trial", "seed", "verdict", "queries"])
-    for trial, seed, verdict, queries in result.rows:
-        writer.writerow([trial, seed, verdict,
-                         "" if queries is None else queries])
-    prefix.with_suffix(".csv").write_text(buf.getvalue())
+    prefix.with_suffix(".csv").write_text(_trials_csv(result.rows))
     summary = {
         "tester": spec.kind,
         "trials": result.trials,
@@ -729,18 +705,18 @@ def _cmd_estimate(args) -> int:
     return EXIT_OK
 
 
-def _parallel_map(fn, items, workers: int):
-    if workers <= 1 or len(items) < 2:
-        return [fn(item) for item in items]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
-
-
 # -------------------------------------------------------------------- parser
 
 
 def _add_out(parser) -> None:
     parser.add_argument("--out", default=None, help="output path (default stdout)")
+
+
+def _add_sets_and_format(parser) -> None:
+    group = parser.add_mutually_exclusive_group(required=True)
+    group.add_argument("--independent-set", type=_vertex_list)
+    group.add_argument("--all-independent-sets", action="store_true")
+    parser.add_argument("--format", choices=("json", "csv"), default="json")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -804,38 +780,27 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("containers-sat", help="run the hypergraph container generator")
     p.add_argument("--csp", required=True)
     p.add_argument("--n-bound", type=int, default=None)
-    group = p.add_mutually_exclusive_group(required=True)
-    group.add_argument("--independent-set", type=_vertex_list)
-    group.add_argument("--all-independent-sets", action="store_true")
+    _add_sets_and_format(p)
     p.add_argument("--variable-distinct", action="store_true")
     p.add_argument("--deg-mode", choices=("exact", "greedy"), default="exact")
-    p.add_argument("--format", choices=("json", "csv"), default="json")
     _add_out(p)
     p.set_defaults(func=_cmd_containers_sat)
 
     p = sub.add_parser("containers-star", help="run the star container generator")
     p.add_argument("--graph", required=True)
-    group = p.add_mutually_exclusive_group(required=True)
-    group.add_argument("--independent-set", type=_vertex_list)
-    group.add_argument("--all-independent-sets", action="store_true")
-    p.add_argument("--format", choices=("json", "csv"), default="json")
+    _add_sets_and_format(p)
     _add_out(p)
     p.set_defaults(func=_cmd_containers_star)
 
     p = sub.add_parser("verify", help="run a verifier; exit 1 on counterexample")
     vsub = p.add_subparsers(dest="verifier", required=True)
 
-    v = vsub.add_parser("gcl-sat")
-    v.add_argument("--corpus", required=True)
-    v.add_argument("--workers", type=_worker_count, default=_default_workers())
-    _add_out(v)
-    v.set_defaults(func=_cmd_verify_gcl_sat)
-
-    v = vsub.add_parser("gcl-star")
-    v.add_argument("--corpus", required=True)
-    v.add_argument("--workers", type=_worker_count, default=_default_workers())
-    _add_out(v)
-    v.set_defaults(func=_cmd_verify_gcl_star)
+    for verifier in ("gcl-sat", "gcl-star"):
+        v = vsub.add_parser(verifier)
+        v.add_argument("--corpus", required=True)
+        v.add_argument("--workers", type=_worker_count, default=_default_workers())
+        _add_out(v)
+        v.set_defaults(func=_cmd_verify_gcl)
 
     v = vsub.add_parser("closure")
     group = v.add_mutually_exclusive_group(required=True)
@@ -895,20 +860,18 @@ def build_parser() -> argparse.ArgumentParser:
             tp.add_argument("--disjoint-samples", action="store_true")
         _add_out(tp)
 
-    p = sub.add_parser("test", help="run a tester for one or more seeded trials")
-    tsub = p.add_subparsers(dest="tester", required=True)
-    for kind in ("sat", "color", "shpp", "indepset", "canonical-is"):
-        tp = tsub.add_parser(kind)
-        add_tester_args(tp, kind)
-        tp.set_defaults(func=_cmd_test)
-
-    p = sub.add_parser("estimate", help="Monte Carlo acceptance estimate")
-    esub = p.add_subparsers(dest="tester", required=True)
-    for kind in ("sat", "color", "shpp", "indepset", "canonical-is"):
-        tp = esub.add_parser(kind)
-        add_tester_args(tp, kind)
-        tp.add_argument("--workers", type=_worker_count, default=_default_workers())
-        tp.set_defaults(func=_cmd_estimate)
+    for verb, help_text, func in (
+            ("test", "run a tester for one or more seeded trials", _cmd_test),
+            ("estimate", "Monte Carlo acceptance estimate", _cmd_estimate)):
+        tsub = sub.add_parser(verb, help=help_text).add_subparsers(
+            dest="tester", required=True)
+        for kind in ("sat", "color", "shpp", "indepset", "canonical-is"):
+            tp = tsub.add_parser(kind)
+            add_tester_args(tp, kind)
+            if verb == "estimate":
+                tp.add_argument("--workers", type=_worker_count,
+                                default=_default_workers())
+            tp.set_defaults(func=func)
 
     return parser
 
@@ -919,17 +882,13 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except CounterexampleFound as exc:
-        record = {"counterexample": exc.record}
-        out = getattr(args, "out", None)
-        text = serialize.canonical_dumps(record)
-        if out is None:
-            sys.stderr.write(text)
-        else:
-            Path(out).write_text(text)
-            sys.stderr.write(text)
+        text = serialize.canonical_dumps({"counterexample": exc.record})
+        if getattr(args, "out", None) is not None:
+            Path(args.out).write_text(text)
+        sys.stderr.write(text)
         return EXIT_COUNTEREXAMPLE
-    except (RationalParseError, WorkCapExceeded, NotFarError, ValueError,
-            FileNotFoundError, KeyError) as exc:
+    # ValueError covers RationalParseError and NotFarError.
+    except (ValueError, WorkCapExceeded, FileNotFoundError, KeyError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_USAGE
     except Exception as exc:  # a defect, not a verdict: never exit 1

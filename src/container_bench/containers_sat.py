@@ -33,7 +33,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from operator import attrgetter
+from typing import Callable, Optional
 
 from .core import (
     Hypergraph,
@@ -263,13 +264,25 @@ class SatIteration:
     truncated: bool
 
 
+def extended_at(field: str, start: Callable[[object], tuple[int, ...]]):
+    """A trace accessor t -> iteration t's `field` under the extension rule
+    both generators' traces share: start(trace) before the loop (t <= 0), and
+    F_t = C_t = I past the executed loop."""
+    get = attrgetter(field)
+
+    def at(self, t: int) -> tuple[int, ...]:
+        if t <= 0:
+            return start(self)
+        if t <= len(self.iterations):
+            return get(self.iterations[t - 1])
+        return self.independent_set
+    return at
+
+
 @dataclass(frozen=True)
 class ContainerTrace:
-    """Full per-iteration output of the generator for one independent set.
-
-    fingerprint_at/container_at apply the extension rule F_t = C_t = I for
-    every t past the executed loop.
-    """
+    """Full per-iteration output of the generator for one independent set;
+    fingerprint_at/container_at apply the `extended_at` rule."""
 
     hypergraph: Hypergraph
     n_bound: int
@@ -277,23 +290,13 @@ class ContainerTrace:
     iterations: tuple[SatIteration, ...]
     deg_mode: str = "exact"
 
+    fingerprint_at = extended_at("fingerprint", lambda trace: ())
+    container_at = extended_at("container",
+                               lambda trace: tuple(range(trace.hypergraph.n)))
+
     @property
     def iteration_count(self) -> int:
         return len(self.iterations)
-
-    def fingerprint_at(self, t: int) -> tuple[int, ...]:
-        if t <= 0:
-            return ()
-        if t <= len(self.iterations):
-            return self.iterations[t - 1].fingerprint
-        return self.independent_set
-
-    def container_at(self, t: int) -> tuple[int, ...]:
-        if t <= 0:
-            return tuple(range(self.hypergraph.n))
-        if t <= len(self.iterations):
-            return self.iterations[t - 1].container
-        return self.independent_set
 
 
 def _argmax_smallest(candidates, value) -> int:

@@ -24,7 +24,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .core import Graph, WorkCapExceeded, as_mask, bits_of, is_independent, mask_of
-from .containers_sat import NotFarError
+from .containers_sat import ClosureOutcome, NotFarError, extended_at
 from .rationals import ceil_frac, floor_frac, floor_times_ln, le_with_ln, sign_with_ln
 
 
@@ -56,31 +56,20 @@ class StarIteration:
 class StarContainerTrace:
     """Per-iteration fingerprints and container pairs for one core.
 
-    Past the executed loop the extension rule applies: F_t = C_t = I and
-    D_t keeps its final value.
+    fingerprint_at/inner_at apply the `extended_at` rule; past the executed
+    loop D_t keeps its final value.
     """
 
     graph: Graph
     independent_set: tuple[int, ...]
     iterations: tuple[StarIteration, ...]
 
+    fingerprint_at = extended_at("fingerprint", lambda trace: ())
+    inner_at = extended_at("inner", lambda trace: tuple(range(trace.graph.n)))
+
     @property
     def iteration_count(self) -> int:
         return len(self.iterations)
-
-    def fingerprint_at(self, t: int) -> tuple[int, ...]:
-        if t <= 0:
-            return ()
-        if t <= len(self.iterations):
-            return self.iterations[t - 1].fingerprint
-        return self.independent_set
-
-    def inner_at(self, t: int) -> tuple[int, ...]:
-        if t <= 0:
-            return tuple(range(self.graph.n))
-        if t <= len(self.iterations):
-            return self.iterations[t - 1].inner
-        return self.independent_set
 
     def outer_at(self, t: int) -> tuple[int, ...]:
         if t <= 0 or not self.iterations:
@@ -140,22 +129,15 @@ def run_star_generator(g: Graph, independent_set) -> StarContainerTrace:
     return StarContainerTrace(g, bits_of(i_mask), tuple(iterations))
 
 
-@dataclass(frozen=True)
-class StarClosureOutcome:
-    ok: bool
-    first_mismatch_t: Optional[int]
-    iteration_count: int
-
-
-def check_star_closure(g: Graph, independent_set) -> StarClosureOutcome:
+def check_star_closure(g: Graph, independent_set) -> ClosureOutcome:
     """Rerunning on the t-th fingerprint must reproduce both containers."""
     trace = run_star_generator(g, independent_set)
     for t in range(1, trace.iteration_count + 1):
         sub = run_star_generator(g, trace.fingerprint_at(t))
         if (sub.inner_at(t) != trace.inner_at(t)
                 or sub.outer_at(t) != trace.outer_at(t)):
-            return StarClosureOutcome(False, t, trace.iteration_count)
-    return StarClosureOutcome(True, None, trace.iteration_count)
+            return ClosureOutcome(False, t, trace.iteration_count)
+    return ClosureOutcome(True, None, trace.iteration_count)
 
 
 @dataclass(frozen=True)

@@ -7,9 +7,9 @@ Instance formats (bit-exact round trip, canonical key order and edge order):
   csp        {"n": int, "k": int, "q": int,
               "constraints": [{"scope": [...], "falsifying": [[...], ...]}]}
 
-Rationals are serialized as exact "p/q" strings everywhere.  The instance
-readers reject a field of the wrong JSON type (a bool is not an integer) with
-a ValueError.
+Rationals are serialized as exact "p/q" strings everywhere.  The instance and
+certificate readers reject a field of the wrong JSON type (a bool is not an
+integer) with a ValueError.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ def graph_to_dict(g: Graph) -> dict:
     return {"n": g.n, "edges": [list(e) for e in g.edges()]}
 
 
-_JSON_NAMES = {int: "integer", list: "array", dict: "object"}
+_JSON_NAMES = {int: "integer", str: "string", list: "array", dict: "object"}
 
 
 def _checked(value, kind: type, what: str):
@@ -205,14 +205,18 @@ def certificate_to_dict(cert: FarCertificate) -> dict:
 
 
 def certificate_from_dict(data: dict) -> FarCertificate:
+    def rational(key: str):
+        return parse_rational(
+            _checked(data[key], str, f"certificate {key}, a p/q rational,"))
+
     return FarCertificate(
-        kind=data["kind"],
-        instance_hash=data["instance_hash"],
-        epsilon=parse_rational(data["epsilon"]),
-        achieved=parse_rational(data["achieved"]),
-        min_edits=int(data["min_edits"]),
-        witness=tuple(data["witness"]),
-        params=dict(data["params"]),
+        kind=_checked(data["kind"], str, "certificate kind"),
+        instance_hash=_checked(data["instance_hash"], str, "certificate instance_hash"),
+        epsilon=rational("epsilon"),
+        achieved=rational("achieved"),
+        min_edits=_checked(data["min_edits"], int, "certificate min_edits"),
+        witness=_int_tuple(data["witness"], "certificate witness"),
+        params=dict(_checked(data["params"], dict, "certificate params")),
     )
 
 

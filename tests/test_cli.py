@@ -378,6 +378,46 @@ def test_sweep_frees_its_hypergraphs(tmp_path, monkeypatch):
     assert all(ref() is None for ref in built)
 
 
+@pytest.mark.parametrize("verifier, certified", [
+    ("gcl-sat", True), ("closure", False), ("container-degree", False)])
+def test_serial_sweep_frees_each_entry_before_the_next(tmp_path, monkeypatch,
+                                                       verifier, certified):
+    import gc
+    import weakref
+    from fractions import Fraction
+
+    from container_bench import certify_far, cli, gen_random_csp
+
+    built, alive_at_build = [], []
+
+    def recording_build(csp):
+        gc.collect()
+        alive_at_build.append(sum(ref() is not None for ref in built))
+        h = build_hypergraph(csp)
+        built.append(weakref.ref(h))
+        return h
+
+    build_hypergraph = cli.build_hypergraph
+    monkeypatch.setattr(cli, "build_hypergraph", recording_build)
+    entries = []
+    for seed in range(1, 40):
+        csp = gen_random_csp(5, 2, 2, Fraction(1, 2), Fraction(1, 2), seed)
+        cert = certify_far(csp, Fraction(1, 100))
+        if cert is not None:
+            entries.append((f"c{seed:02d}", serialize.csp_to_dict(csp),
+                            serialize.certificate_to_dict(cert) if certified else None))
+        if len(entries) == 3:
+            break
+    corpus = make_corpus(tmp_path, entries)
+    workers = ["--workers", "1"] if verifier == "gcl-sat" else []
+    assert run_cli("verify", verifier, "--corpus", str(corpus), *workers,
+                   "--out", str(tmp_path / "r.json")) == 0
+    # Each entry's hypergraph (and the memo on it) is gone before the next one
+    # is built: a serial sweep holds one entry at a time.
+    assert len(built) == 3
+    assert alive_at_build == [0, 0, 0]
+
+
 def test_internal_error_exits_3_without_traceback(tmp_path, monkeypatch, capsys):
     from container_bench import cli
 
@@ -508,3 +548,42 @@ def test_graph_from_dict_rejects_wrong_field_types(k4, field, value):
     data = {**serialize.graph_to_dict(k4), field: value}
     with pytest.raises(ValueError):
         serialize.graph_from_dict(data)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("params", [1]), ("params", "rho=1/2"), ("achieved", 5), ("epsilon", None),
+    ("min_edits", "3"), ("witness", 7), ("kind", 1), ("instance_hash", []),
+])
+def test_malformed_certificate_field_is_usage_error(tmp_path, capsys, field, value):
+    (name, graph, cert), = _far_graph_entries(1)
+    corpus = make_corpus(tmp_path, [(name, graph, {**cert, field: value})])
+    capsys.readouterr()
+    for argv in (["gcl-star", "--corpus", str(corpus), "--workers", "1"],
+                 ["shrinking", "--corpus", str(corpus), "--samples", "10"]):
+        assert run_cli("verify", *argv, "--out", str(tmp_path / "r.json")) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert name in err and field in err
+        assert not (tmp_path / "r.json").exists()
+
+
+def test_certificate_of_the_wrong_kind_is_usage_error(tmp_path, triangle_csp, capsys):
+    from fractions import Fraction
+
+    from container_bench import certify_far
+
+    csps = make_corpus(tmp_path / "sat", [
+        ("a-csp", serialize.csp_to_dict(triangle_csp),
+         serialize.certificate_to_dict(certify_far(triangle_csp, Fraction(1, 3))))])
+    graphs = make_corpus(tmp_path / "star", _far_graph_entries(1))
+    graph_name = next(graphs.iterdir()).name
+    capsys.readouterr()
+    for argv, name in (
+            (["gcl-sat", "--corpus", str(graphs), "--workers", "1"], graph_name),
+            (["gcl-star", "--corpus", str(csps), "--workers", "1"], "a-csp"),
+            (["shrinking", "--corpus", str(csps)], "a-csp")):
+        assert run_cli("verify", *argv, "--out", str(tmp_path / "r.json")) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert name in err and "kind" in err
+        assert not (tmp_path / "r.json").exists()
