@@ -78,7 +78,6 @@ from .rationals import (
     parse_rational,
 )
 from .rng import make_rng, substream_seed
-from .testers import SHPPSpec
 
 EXIT_OK = 0
 EXIT_COUNTEREXAMPLE = 1
@@ -642,12 +641,8 @@ def _tester_spec_from_args(args) -> tuple[TesterSpec, object]:
                    "k": args.k}
     elif kind == "shpp":
         instance = _load(args.graph, "graph")
-        spec_data = _load_json(args.spec)
-        shpp = SHPPSpec(int(spec_data["k"]),
-                        tuple(tuple(row) for row in spec_data["lower"]),
-                        tuple(tuple(row) for row in spec_data["upper"]))
         options = {"epsilon": args.epsilon, "s": args.s, "c": args.c,
-                   "spec": shpp}
+                   "spec": serialize.shpp_spec_from_dict(_load_json(args.spec))}
     elif kind == "indepset":
         instance = _load(args.graph, "graph")
         options = {"rho": args.rho, "epsilon": args.epsilon, "r": args.r,

@@ -17,15 +17,15 @@ vertex index, so traces are bit-for-bit deterministic.
 
 Memo: everything the generator computes on a hypergraph is kept in one
 `_GeneratorMemo` stored on that Hypergraph instance (attribute `_memo`, built
-on first use).  It holds the incidence lists, exact deg_leq_n results keyed on
-(container mask, n, v, cap), each container's degree table keyed on
-(container mask, n, cap), and finished traces keyed on (independent-set mask,
-n, cap, deg mode).  It holds no reference back to the hypergraph, takes no
-part in ==, hash, repr or pickling, and is freed with the hypergraph; no
-state outlives the objects it describes.  `build_hypergraph` returns the same
-Hypergraph for the same Csp, so a sweep over one instance shares one memo.
-Entries are pure functions of their keys, so threads racing on a memo can at
-worst compute an entry twice.
+on first use by `core.memo_of`).  It holds the incidence lists, exact
+deg_leq_n results keyed on (container mask, n, v, cap), each container's
+degree table keyed on (container mask, n, cap), and finished traces keyed on
+(independent-set mask, n, cap, deg mode).  It holds no reference back to the
+hypergraph, takes no part in ==, hash, repr or pickling, and is freed with
+the hypergraph; no state outlives the objects it describes.
+`build_hypergraph` returns the same Hypergraph for the same Csp, so a sweep
+over one instance shares one memo.  Entries are pure functions of their keys,
+so threads racing on a memo can at worst compute an entry twice.
 """
 
 from __future__ import annotations
@@ -43,6 +43,7 @@ from .core import (
     bits_of,
     is_independent,
     mask_of,
+    memo_of,
 )
 from .csp import Csp, SatDistance, build_hypergraph, distance_to_sat, vars_of
 from .rationals import le_with_ln
@@ -187,21 +188,13 @@ class _GeneratorMemo:
         return table
 
 
-def _memo_of(h: Hypergraph) -> _GeneratorMemo:
-    memo = h.__dict__.get("_memo")
-    if memo is None:
-        memo = _GeneratorMemo(h)
-        object.__setattr__(h, "_memo", memo)
-    return memo
-
-
 def deg_leq_n(h: Hypergraph, container, n_bound: int, v: int,
               cap: int = DEFAULT_RELEVANT_CAP) -> DegLeqNResult:
     """Exact max degree of v over (<=n_bound)-subsets of the container."""
     c_mask = as_mask(container, h.n)
     if not (c_mask >> v) & 1:
         raise ValueError(f"vertex {v} is not in the container")
-    value, witness = _memo_of(h).deg_leq_n(c_mask, n_bound, v, cap)
+    value, witness = memo_of(h, _GeneratorMemo).deg_leq_n(c_mask, n_bound, v, cap)
     return DegLeqNResult(value, bits_of(witness))
 
 
@@ -212,7 +205,8 @@ def deg_leq_n_greedy(h: Hypergraph, container, n_bound: int, v: int) -> DegLeqNR
     if not (c_mask >> v) & 1:
         raise ValueError(f"vertex {v} is not in the container")
     vbit = 1 << v
-    pmasks = [e & ~vbit for e in _memo_of(h).incidence[v] if e & ~c_mask == 0]
+    incidence = memo_of(h, _GeneratorMemo).incidence[v]
+    pmasks = [e & ~vbit for e in incidence if e & ~c_mask == 0]
     budget = min(n_bound, c_mask.bit_count()) - 1
     chosen = 0
     while True:
@@ -320,7 +314,7 @@ def run_generator(h: Hypergraph, n_bound: int, independent_set,
     if deg_mode not in ("exact", "greedy"):
         raise ValueError(f"unknown deg mode {deg_mode!r}")
 
-    memo = _memo_of(h)
+    memo = memo_of(h, _GeneratorMemo)
     key = (i_mask, n_bound, deg_cap, deg_mode)
     done = memo.traces.get(key)
     if done is not None:
@@ -498,7 +492,7 @@ def check_container_degree(trace: ContainerTrace, k: int, n: int,
     coeff = math.comb(n - 1, q - 1)
     records = []
     worst: Optional[Fraction] = None
-    memo = _memo_of(h)
+    memo = memo_of(h, _GeneratorMemo)
     for t in range(1, trace.iteration_count + 1):
         table = memo.degree_table(mask_of(trace.container_at(t)), n, deg_cap)
         max_deg = max(table.values(), default=0)

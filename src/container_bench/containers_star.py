@@ -14,6 +14,15 @@ meeting the size bound at each reachable t); a sweep builds it once per
 instance, so per-set checks compare integers.  `check_shrinking` decides its
 premises by integer cross-multiplication; `verify shrinking` loads each
 corpus entry (graph, exact distance, independent sets) once.
+
+Memo: `run_star_generator` keeps each finished iterations tuple on the Graph
+(attribute `_memo`, built on first use by `core.memo_of`), keyed on the
+independent-set mask, so closure's reruns on fingerprint prefixes and repeat
+draws in `verify shrinking` replay it.  Every call still validates its input
+(range and independence) before the lookup.  The memo holds no reference
+back to the graph, takes no part in ==, hash, repr or pickling, and is freed
+with the graph.  An entry is a pure function of its key, so threads racing
+on a memo can at worst compute it twice.
 """
 
 from __future__ import annotations
@@ -23,7 +32,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .core import Graph, WorkCapExceeded, as_mask, bits_of, is_independent, mask_of
+from .core import (
+    Graph,
+    WorkCapExceeded,
+    as_mask,
+    bits_of,
+    is_independent,
+    mask_of,
+    memo_of,
+)
 from .containers_sat import ClosureOutcome, NotFarError, extended_at
 from .rationals import ceil_frac, floor_frac, floor_times_ln, le_with_ln, sign_with_ln
 
@@ -77,44 +94,74 @@ class StarContainerTrace:
         return self.iterations[min(t, len(self.iterations)) - 1].outer
 
 
+def _trace_memo(g: Graph) -> dict[int, tuple[StarIteration, ...]]:
+    """The star generator's memo for one graph; see the module docstring."""
+    return {}
+
+
 def run_star_generator(g: Graph, independent_set) -> StarContainerTrace:
     """Run the two-container generator; ties break to the smallest index."""
     i_mask = as_mask(independent_set, g.n)
     if not is_independent(g, i_mask):
         raise ValueError("input vertex set is not independent")
+    memo = memo_of(g, _trace_memo)
+    iterations = memo.get(i_mask)
+    if iterations is None:
+        iterations = memo[i_mask] = _star_iterations(g.adj, g.n, i_mask)
+    return StarContainerTrace(g, bits_of(i_mask), iterations)
 
+
+def _argmax_degree(adj: tuple[int, ...], candidates: int,
+                   within: int) -> tuple[int, int]:
+    """(w, degree of w into within) for the candidate of largest degree; the
+    walk goes up the mask and only a strictly larger degree replaces, so ties
+    break to the smallest index."""
+    best = best_deg = -1
+    while candidates:
+        low = candidates & -candidates
+        candidates ^= low
+        w = low.bit_length() - 1
+        deg = (adj[w] & within).bit_count()
+        if deg > best_deg:
+            best, best_deg = w, deg
+    return best, best_deg
+
+
+def _star_iterations(adj: tuple[int, ...], n: int,
+                     i_mask: int) -> tuple[StarIteration, ...]:
     f_mask = 0
-    c_mask = d_mask = (1 << g.n) - 1
+    c_mask = d_mask = (1 << n) - 1
     iterations: list[StarIteration] = []
     t = 0
     while i_mask & ~f_mask:
         t += 1
         remaining = i_mask & ~f_mask
-
-        def c_deg(w: int) -> int:
-            return (g.adj[w] & c_mask).bit_count()
-
-        def d_deg(w: int) -> int:
-            return (g.adj[w] & d_mask).bit_count()
-
-        u = max(bits_of(remaining), key=lambda w: (c_deg(w), -w))
-        rest = remaining & ~(1 << u)
+        u, c_deg_u = _argmax_degree(adj, remaining, c_mask)
+        picked = 1 << u
+        neighbours = adj[u]
         v: Optional[int] = None
-        if rest:
-            v = max(bits_of(rest), key=lambda w: (d_deg(w), -w))
+        # With no v, no degree into D exceeds n: only the C test can exclude.
+        d_deg_v = n
+        if remaining & ~picked:
+            v, d_deg_v = _argmax_degree(adj, remaining & ~picked, d_mask)
+            picked |= 1 << v
+            neighbours |= adj[v]
 
-        neighbours = g.adj[u] | (g.adj[v] if v is not None else 0)
         # The just-selected pair is exempt from the degree exclusion: u may
         # out-degree v in the outer container, but no core vertex may ever
         # leave the inner container (and exempting more than the fingerprint
         # would break closure under rerun-on-fingerprint).
-        picked = (1 << u) | (0 if v is None else 1 << v)
         high = 0
-        for w in bits_of(c_mask & ~picked):
-            if c_deg(w) > c_deg(u) or (v is not None and d_deg(w) > d_deg(v)):
-                high |= 1 << w
+        m = c_mask & ~picked
+        while m:
+            low = m & -m
+            m ^= low
+            row = adj[low.bit_length() - 1]
+            if ((row & c_mask).bit_count() > c_deg_u
+                    or (row & d_mask).bit_count() > d_deg_v):
+                high |= low
 
-        f_mask |= (1 << u) | (0 if v is None else 1 << v)
+        f_mask |= picked
         c_new = c_mask & ~neighbours & ~high
         d_new = d_mask & ~neighbours
         assert i_mask & ~c_new == 0, "core vertex removed from inner container"
@@ -125,8 +172,7 @@ def run_star_generator(g: Graph, independent_set) -> StarContainerTrace:
             outer=bits_of(d_new),
         ))
         c_mask, d_mask = c_new, d_new
-
-    return StarContainerTrace(g, bits_of(i_mask), tuple(iterations))
+    return tuple(iterations)
 
 
 def check_star_closure(g: Graph, independent_set) -> ClosureOutcome:

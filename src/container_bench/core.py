@@ -5,10 +5,11 @@ tie anywhere in the package breaks toward the smallest index.  Vertex sets
 are handled as Python int bitmasks internally and exposed as sorted tuples.
 All types are immutable after construction and every operation is a pure
 function, so everything here is safe to share across threads or processes.
-A memo derived from an instance (the container generator's, the CSP's
-hypergraph encoding) is kept in an underscore attribute of that instance: it
-never changes a result, takes no part in ==, hash or repr, is not pickled,
-and is freed with the instance.
+A memo derived from an instance (the hypergraph container generator's on a
+Hypergraph and the star generator's on a Graph, both through `memo_of`, and
+the CSP's hypergraph encoding) is kept in an underscore attribute of that
+instance: it never changes a result, takes no part in ==, hash or repr, is
+not pickled, and is freed with the instance.
 """
 
 from __future__ import annotations
@@ -26,6 +27,18 @@ class WorkCapExceeded(RuntimeError):
 def memo_free_state(obj) -> dict:
     """Pickle state of a frozen dataclass without its per-instance memos."""
     return {k: v for k, v in obj.__dict__.items() if not k.startswith("_")}
+
+
+def memo_of(host, factory):
+    """The memo kept on host as `_memo`, built as factory(host) on first use.
+
+    The memo must hold no reference back to host, so the two are freed
+    together by refcount."""
+    memo = host.__dict__.get("_memo")
+    if memo is None:
+        memo = factory(host)
+        object.__setattr__(host, "_memo", memo)
+    return memo
 
 
 def mask_of(vertices: Iterable[int]) -> int:
@@ -61,6 +74,9 @@ class Graph:
 
     n: int
     adj: tuple[int, ...]
+
+    def __getstate__(self) -> dict:
+        return memo_free_state(self)
 
     def __post_init__(self):
         if self.n < 0 or len(self.adj) != self.n:

@@ -6,10 +6,11 @@ Instance formats (bit-exact round trip, canonical key order and edge order):
               "edges": [[v1, ..., vq], ...]}
   csp        {"n": int, "k": int, "q": int,
               "constraints": [{"scope": [...], "falsifying": [[...], ...]}]}
+  shpp spec  {"k": int, "lower": [[0|1, ...], ...], "upper": [[0|1, ...], ...]}
 
-Rationals are serialized as exact "p/q" strings everywhere.  The instance and
-certificate readers reject a field of the wrong JSON type (a bool is not an
-integer) with a ValueError.
+Rationals are serialized as exact "p/q" strings everywhere.  Every reader
+(instances, traces, certificates, the shpp spec) rejects a field of the wrong
+JSON type (a bool is not an integer) with a ValueError.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from .containers_sat import ContainerTrace, LevelRecord, SatIteration
 from .containers_star import StarContainerTrace, StarIteration
 from .generators import FarCertificate
 from .rationals import format_rational, parse_rational
-from .testers import TesterReport
+from .testers import SHPPSpec, TesterReport
 
 
 def canonical_dumps(payload) -> str:
@@ -33,7 +34,8 @@ def graph_to_dict(g: Graph) -> dict:
     return {"n": g.n, "edges": [list(e) for e in g.edges()]}
 
 
-_JSON_NAMES = {int: "integer", str: "string", list: "array", dict: "object"}
+_JSON_NAMES = {int: "integer", str: "string", list: "array", dict: "object",
+               bool: "boolean"}
 
 
 def _checked(value, kind: type, what: str):
@@ -134,31 +136,40 @@ def container_trace_to_dict(trace: ContainerTrace) -> dict:
 
 
 def container_trace_from_dict(data: dict) -> ContainerTrace:
-    iterations = tuple(
-        SatIteration(
-            t=int(it["t"]),
-            selected=tuple(it["selected"]),
-            exclusions=tuple((int(x["level"]), tuple(x["vertices"]))
-                             for x in it["exclusions"]),
-            levels=tuple(
-                LevelRecord(int(lv["ell"]), tuple(lv["vertices"]),
-                            tuple(tuple(e) for e in lv["edges"]))
-                for lv in it["levels"]
-            ),
-            one_edge_removals=tuple(it["one_edge_removals"]),
-            fingerprint=tuple(it["fingerprint"]),
-            container=tuple(it["container"]),
-            degenerate=bool(it["degenerate"]),
-            truncated=bool(it["truncated"]),
-        )
-        for it in data["iterations"]
-    )
+    iterations = []
+    for it in _checked(data["iterations"], list, "trace iterations"):
+        _checked(it, dict, "a trace iteration")
+        exclusions = []
+        for x in _checked(it["exclusions"], list, "iteration exclusions"):
+            _checked(x, dict, "an exclusion")
+            exclusions.append((_checked(x["level"], int, "exclusion level"),
+                               _int_tuple(x["vertices"], "exclusion vertices")))
+        levels = []
+        for lv in _checked(it["levels"], list, "iteration levels"):
+            _checked(lv, dict, "a level")
+            levels.append(LevelRecord(
+                _checked(lv["ell"], int, "level ell"),
+                _int_tuple(lv["vertices"], "level vertices"),
+                tuple(_int_tuple(e, "a level edge")
+                      for e in _checked(lv["edges"], list, "level edges"))))
+        iterations.append(SatIteration(
+            t=_checked(it["t"], int, "iteration t"),
+            selected=_int_tuple(it["selected"], "iteration selected"),
+            exclusions=tuple(exclusions),
+            levels=tuple(levels),
+            one_edge_removals=_int_tuple(it["one_edge_removals"],
+                                         "iteration one_edge_removals"),
+            fingerprint=_int_tuple(it["fingerprint"], "iteration fingerprint"),
+            container=_int_tuple(it["container"], "iteration container"),
+            degenerate=_checked(it["degenerate"], bool, "iteration degenerate"),
+            truncated=_checked(it["truncated"], bool, "iteration truncated"),
+        ))
     return ContainerTrace(
-        hypergraph_from_dict(data["hypergraph"]),
-        int(data["n_bound"]),
-        tuple(data["independent_set"]),
-        iterations,
-        data.get("deg_mode", "exact"),
+        hypergraph_from_dict(_checked(data["hypergraph"], dict, "trace hypergraph")),
+        _checked(data["n_bound"], int, "trace n_bound"),
+        _int_tuple(data["independent_set"], "trace independent_set"),
+        tuple(iterations),
+        _checked(data.get("deg_mode", "exact"), str, "trace deg_mode"),
     )
 
 
@@ -179,17 +190,22 @@ def star_trace_to_dict(trace: StarContainerTrace) -> dict:
 
 
 def star_trace_from_dict(data: dict) -> StarContainerTrace:
-    iterations = tuple(
-        StarIteration(
-            t=int(it["t"]), u=int(it["u"]),
-            v=None if it["v"] is None else int(it["v"]),
-            fingerprint=tuple(it["fingerprint"]),
-            inner=tuple(it["inner"]), outer=tuple(it["outer"]),
-        )
-        for it in data["iterations"]
+    iterations = []
+    for it in _checked(data["iterations"], list, "trace iterations"):
+        _checked(it, dict, "a trace iteration")
+        iterations.append(StarIteration(
+            t=_checked(it["t"], int, "iteration t"),
+            u=_checked(it["u"], int, "iteration u"),
+            v=None if it["v"] is None else _checked(it["v"], int, "iteration v"),
+            fingerprint=_int_tuple(it["fingerprint"], "iteration fingerprint"),
+            inner=_int_tuple(it["inner"], "iteration inner"),
+            outer=_int_tuple(it["outer"], "iteration outer"),
+        ))
+    return StarContainerTrace(
+        graph_from_dict(_checked(data["graph"], dict, "trace graph")),
+        _int_tuple(data["independent_set"], "trace independent_set"),
+        tuple(iterations),
     )
-    return StarContainerTrace(graph_from_dict(data["graph"]),
-                              tuple(data["independent_set"]), iterations)
 
 
 def certificate_to_dict(cert: FarCertificate) -> dict:
@@ -218,6 +234,15 @@ def certificate_from_dict(data: dict) -> FarCertificate:
         witness=_int_tuple(data["witness"], "certificate witness"),
         params=dict(_checked(data["params"], dict, "certificate params")),
     )
+
+
+def shpp_spec_from_dict(data: dict) -> SHPPSpec:
+    def matrix(key: str) -> tuple[tuple[int, ...], ...]:
+        return tuple(_int_tuple(row, f"a shpp spec {key} row")
+                     for row in _checked(data[key], list, f"shpp spec {key}"))
+
+    return SHPPSpec(_checked(data["k"], int, "shpp spec k"),
+                    matrix("lower"), matrix("upper"))
 
 
 def report_to_dict(report: TesterReport) -> dict:

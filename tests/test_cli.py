@@ -587,3 +587,102 @@ def test_certificate_of_the_wrong_kind_is_usage_error(tmp_path, triangle_csp, ca
         assert err.startswith("error:") and err.count("\n") == 1
         assert name in err and "kind" in err
         assert not (tmp_path / "r.json").exists()
+
+
+def _trace_dicts(triangle_csp) -> dict:
+    """A star trace whose last iteration has no v, and a hypergraph trace."""
+    from container_bench import Graph, build_hypergraph, run_generator, run_star_generator
+
+    star = run_star_generator(Graph.from_edges(5, [(0, 1), (1, 2)]), (0, 2, 4))
+    assert star.iterations[-1].v is None
+    sat = run_generator(build_hypergraph(triangle_csp), 3, (0, 3))
+    return {"star": serialize.star_trace_to_dict(star),
+            "sat": serialize.container_trace_to_dict(sat)}
+
+
+def test_well_formed_traces_replay_clean(tmp_path, triangle_csp):
+    for kind, trace in _trace_dicts(triangle_csp).items():
+        path = tmp_path / f"{kind}.json"
+        path.write_text(json.dumps(trace))
+        assert run_cli("verify", "closure", "--trace", str(path),
+                       "--out", str(tmp_path / "r.json")) == 0
+
+
+@pytest.mark.parametrize("kind, field, value", [
+    ("star", "iterations", [1]), ("star", "iterations", {}),
+    ("star", "independent_set", 5), ("star", "graph", [1]),
+    ("star", "inner", ["a"]), ("star", "outer", [0.5]), ("star", "fingerprint", 5),
+    ("star", "t", "1"), ("star", "u", True), ("star", "v", "2"),
+    ("sat", "iterations", [1]), ("sat", "independent_set", 5),
+    ("sat", "hypergraph", [1]), ("sat", "n_bound", "3"), ("sat", "deg_mode", 1),
+    ("sat", "container", ["a"]), ("sat", "selected", [0.5]), ("sat", "t", "1"),
+    ("sat", "degenerate", 0), ("sat", "levels", [1]), ("sat", "exclusions", "x"),
+])
+def test_malformed_trace_field_is_usage_error(tmp_path, capsys, triangle_csp,
+                                              kind, field, value):
+    trace = _trace_dicts(triangle_csp)[kind]
+    (trace if field in trace else trace["iterations"][0])[field] = value
+    path = tmp_path / "trace.json"
+    path.write_text(json.dumps(trace))
+    capsys.readouterr()
+    assert run_cli("verify", "closure", "--trace", str(path),
+                   "--out", str(tmp_path / "r.json")) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert not (tmp_path / "r.json").exists()
+
+
+@pytest.mark.parametrize("spec", [
+    {"k": 2, "lower": 5, "upper": [[1, 1], [1, 1]]},
+    {"k": "2", "lower": [[0, 0], [0, 0]], "upper": [[1, 1], [1, 1]]},
+    {"k": True, "lower": [[0]], "upper": [[1]]},
+    {"k": 2, "lower": [[0, 0], 5], "upper": [[1, 1], [1, 1]]},
+    {"k": 2, "lower": [[0, 0], [0, 0]], "upper": [[1, True], [True, 1]]},
+    {"k": 2, "lower": [[0, 0], [0, 0]], "upper": {"0": [1, 1]}},
+])
+def test_malformed_shpp_spec_is_usage_error(tmp_path, k4_file, capsys, spec):
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps(spec))
+    capsys.readouterr()
+    for argv in (["test", "shpp", "--out", str(tmp_path / "r.csv")],
+                 ["estimate", "shpp", "--trials", "2", "--out", str(tmp_path / "r")]):
+        assert run_cli(*argv, "--graph", str(k4_file), "--spec", str(spec_path),
+                       "--epsilon", "1/4", "--s", "4", "--seed", "3") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1 and "spec" in err
+    assert not list(tmp_path.glob("r.*"))
+
+
+def test_serial_gcl_star_frees_each_graph_before_the_next(tmp_path, monkeypatch):
+    import gc
+    import weakref
+
+    from container_bench import cli, containers_star
+
+    checked, alive_at_check = [], []
+
+    def recording_distance(graph, rho):
+        gc.collect()
+        alive_at_check.append(sum(ref() is not None for ref in checked))
+        checked.append(weakref.ref(graph))
+        return distance_to_rho_is(graph, rho)
+
+    distance_to_rho_is = cli.distance_to_rho_is
+    monkeypatch.setattr(cli, "distance_to_rho_is", recording_distance)
+    memos = []
+    run_star_generator = containers_star.run_star_generator
+
+    def recording_generator(graph, iset):
+        trace = run_star_generator(graph, iset)
+        memos.append(bool(graph.__dict__.get("_memo")))
+        return trace
+
+    monkeypatch.setattr(containers_star, "run_star_generator", recording_generator)
+    corpus = make_corpus(tmp_path, _far_graph_entries(3))
+    assert run_cli("verify", "gcl-star", "--corpus", str(corpus), "--workers", "1",
+                   "--out", str(tmp_path / "r.json")) == 0
+    assert memos and all(memos)
+    assert len(checked) == 3
+    # Each entry's graph (and the trace memo on it) is gone before the next
+    # entry is checked: a serial sweep holds one entry at a time.
+    assert alive_at_check == [0, 0, 0]

@@ -1,5 +1,7 @@
 import itertools
 import math
+import pickle
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -17,7 +19,7 @@ from container_bench import (
     verify_gcl_star,
 )
 from container_bench.containers_star import RhoDistance, ShrinkingOutcome, StarBounds
-from container_bench.core import WorkCapExceeded, as_mask, mask_of
+from container_bench.core import WorkCapExceeded, as_mask, bits_of, mask_of
 from container_bench.rationals import ceil_frac, le_with_ln
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -136,6 +138,127 @@ def test_star_closure_exhaustive_small():
         g = gen_er_graph(7, Fraction(2, 5), seed=seed + 10)
         for iset in enumerate_independent_sets(g):
             assert check_star_closure(g, iset).ok, (seed, iset)
+
+
+def _reference_star_iterations(g: Graph, independent_set):
+    """The generator as it was before the mask-native rewrite and its memo
+    (closures recomputing every degree, `max` with a key), kept as the
+    reference: (t, u, v, fingerprint, inner, outer) per iteration."""
+    i_mask = as_mask(independent_set, g.n)
+    f_mask = 0
+    c_mask = d_mask = (1 << g.n) - 1
+    iterations = []
+    t = 0
+    while i_mask & ~f_mask:
+        t += 1
+        remaining = i_mask & ~f_mask
+
+        def c_deg(w: int) -> int:
+            return (g.adj[w] & c_mask).bit_count()
+
+        def d_deg(w: int) -> int:
+            return (g.adj[w] & d_mask).bit_count()
+
+        u = max(bits_of(remaining), key=lambda w: (c_deg(w), -w))
+        rest = remaining & ~(1 << u)
+        v = None
+        if rest:
+            v = max(bits_of(rest), key=lambda w: (d_deg(w), -w))
+        neighbours = g.adj[u] | (g.adj[v] if v is not None else 0)
+        picked = (1 << u) | (0 if v is None else 1 << v)
+        high = 0
+        for w in bits_of(c_mask & ~picked):
+            if c_deg(w) > c_deg(u) or (v is not None and d_deg(w) > d_deg(v)):
+                high |= 1 << w
+        f_mask |= picked
+        c_new = c_mask & ~neighbours & ~high
+        d_new = d_mask & ~neighbours
+        iterations.append((t, u, v, bits_of(f_mask), bits_of(c_new), bits_of(d_new)))
+        c_mask, d_mask = c_new, d_new
+    return iterations
+
+
+def _as_rows(trace):
+    return [(it.t, it.u, it.v, it.fingerprint, it.inner, it.outer)
+            for it in trace.iterations]
+
+
+def _differential_graphs():
+    """Edge cases (n = 0 and 1, edgeless and complete graphs) plus seeded ER
+    graphs with n up to 12 over a spread of densities."""
+    yield Graph(0, ())
+    yield Graph(1, (0,))
+    for n in (2, 5, 9):
+        yield Graph.from_edges(n, [])
+        yield complete_graph(n)
+    for seed in range(120):
+        n = 1 + seed % 12
+        yield gen_er_graph(n, Fraction(1 + seed % 7, 8), seed=seed)
+
+
+def test_star_generator_matches_reference_cold_and_warm():
+    pairs = 0
+    for g in _differential_graphs():
+        isets = list(enumerate_independent_sets(g))
+        want = {iset: _reference_star_iterations(g, iset) for iset in isets}
+        for iset in isets:  # cold: the first run of each set on this graph
+            trace = run_star_generator(g, iset)
+            assert trace.independent_set == iset
+            assert _as_rows(trace) == want[iset], (g, iset)
+        assert len(g.__dict__["_memo"]) == len(isets)
+        for iset in reversed(isets):  # warm: every set is a memo hit
+            assert _as_rows(run_star_generator(g, mask_of(iset))) == want[iset]
+        pairs += len(isets)
+    assert pairs >= 1000
+
+
+def test_star_iteration_fields_read_as_tuples():
+    g = gen_er_graph(9, Fraction(1, 3), seed=2)
+    iset = max(enumerate_independent_sets(g), key=len)
+    for trace in (run_star_generator(g, iset), run_star_generator(g, iset)):
+        for it in trace.iterations:
+            for field in (it.fingerprint, it.inner, it.outer):
+                assert type(field) is tuple and all(type(w) is int for w in field)
+
+
+# ---------------------------------------------------------------- star memo
+
+def _warm_graph():
+    g = gen_er_graph(9, Fraction(2, 5), seed=5)
+    for iset in enumerate_independent_sets(g):
+        assert check_star_closure(g, iset).ok
+    assert g.__dict__.get("_memo")
+    return g
+
+
+def test_star_memo_leaves_equality_hash_repr_and_pickle_alone():
+    g = _warm_graph()
+    fresh = Graph(g.n, g.adj)
+    assert g == fresh and hash(g) == hash(fresh) and repr(g) == repr(fresh)
+    assert pickle.dumps(g) == pickle.dumps(fresh)
+    back = pickle.loads(pickle.dumps(g))
+    assert back == g and "_memo" not in back.__dict__
+
+
+def test_star_memo_is_freed_with_its_graph_by_refcount():
+    g = gen_er_graph(9, Fraction(2, 5), seed=5)
+    for iset in ((0,), (1,), (0,), ()):
+        run_star_generator(g, iset)
+    assert len(g.__dict__["_memo"]) == 3
+    ref = weakref.ref(g)
+    del g
+    assert ref() is None  # no cycle through the memo, so no gc pass is needed
+
+
+def test_warm_star_memo_still_validates_every_call():
+    g = _warm_graph()
+    u, v = g.edges()[0]
+    with pytest.raises(ValueError, match="not independent"):
+        run_star_generator(g, (u, v))
+    with pytest.raises(ValueError, match="out of range"):
+        run_star_generator(g, 1 << g.n)
+    with pytest.raises(ValueError, match="out of range"):
+        run_star_generator(g, -1)
 
 
 # ------------------------------------------------------------ distance oracle
