@@ -207,6 +207,25 @@ DEFAULT_SUBSET_CAP = 10_000_000
 
 def distance_to_rho_is(g: Graph, rho: Fraction,
                        cap: int = DEFAULT_SUBSET_CAP) -> RhoDistance:
+    """Exact `RhoDistance` of g for rho, by branch and bound over the subsets
+    of size target = ceil(rho*n) in `itertools.combinations` order.
+
+    The witness is the first subset in that order with the fewest edges: a
+    leaf replaces the incumbent only when it has strictly fewer edges, and
+    the search stops at the first independent subset.  A node that has
+    chosen S (size vertices, count edges) with candidates R = {start, ...,
+    n-1}, need = target - size and slack = |R| - need is pruned when
+
+        2*count + (sum of the need smallest 2*f(w), w in R) >= 2*best,
+
+    where 2*f(w) = 2*|N(w) & S| + max(0, |N(w) & R| - slack).  Any completion
+    T of size need keeps at least |N(w) & R| - slack of each member's
+    R-neighbours inside T, so 2*e(S + T) >= 2*count + sum over T of 2*f(w):
+    a pruned subtree holds no subset with fewer edges than the incumbent,
+    and the witness is the one plain enumeration finds.  The bound is skipped
+    when slack == 0 (a single leaf).  Raises WorkCapExceeded when
+    C(n, target) exceeds cap.
+    """
     rho = Fraction(rho)
     if not 0 < rho <= 1:
         raise ValueError("rho must lie in (0, 1]")
@@ -222,16 +241,27 @@ def distance_to_rho_is(g: Graph, rho: Fraction,
     best = math.comb(target, 2) + 1
     best_mask = 0
     adj = g.adj
+    full = (1 << n) - 1
 
     def rec(start: int, chosen: int, size: int, count: int) -> None:
         nonlocal best, best_mask
         if count >= best:
             return
-        if size == target:
+        need = target - size
+        if need == 0:
             best, best_mask = count, chosen
             return
-        # Not enough vertices left to finish the subset.
-        for v in range(start, n - (target - size) + 1):
+        slack = n - start - need
+        if slack:
+            rest = full >> start << start
+            twice_f = sorted([
+                2 * (a & chosen).bit_count()
+                + (d - slack if (d := (a & rest).bit_count()) > slack else 0)
+                for a in adj[start:]])
+            if 2 * count + sum(twice_f[:need]) >= 2 * best:
+                return
+        # Children stop where too few vertices are left to finish the subset.
+        for v in range(start, start + slack + 1):
             rec(v + 1, chosen | 1 << v, size + 1,
                 count + (adj[v] & chosen).bit_count())
             if best == 0:

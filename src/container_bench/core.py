@@ -310,4 +310,9 @@ def enumerate_independent_sets(
                 yield from rec(current, cur_mask | (1 << v), used_vars | var_bit)
                 current.pop()
 
-    yield from rec([], 0, 0)
+    try:
+        yield from rec([], 0, 0)
+    finally:
+        # rec reaches itself through its closure cell, a cycle that would
+        # keep the host alive until the cyclic collector runs.
+        del rec

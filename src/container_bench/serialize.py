@@ -10,7 +10,8 @@ Instance formats (bit-exact round trip, canonical key order and edge order):
 
 Rationals are serialized as exact "p/q" strings everywhere.  Every reader
 (instances, traces, certificates, the shpp spec) rejects a field of the wrong
-JSON type (a bool is not an integer) with a ValueError.
+JSON type (a bool is not an integer) with a ValueError; the graph reader also
+rejects n above MAX_GRAPH_VERTICES.
 """
 
 from __future__ import annotations
@@ -24,6 +25,11 @@ from .containers_star import StarContainerTrace, StarIteration
 from .generators import FarCertificate
 from .rationals import format_rational, parse_rational
 from .testers import SHPPSpec, TesterReport
+
+
+# A Graph holds one adjacency row per vertex, built before any work cap is
+# consulted, so the reader refuses a vertex count no verb could use.
+MAX_GRAPH_VERTICES = 1 << 16
 
 
 def canonical_dumps(payload) -> str:
@@ -55,8 +61,10 @@ def _int_tuple(value, what: str) -> tuple[int, ...]:
 
 def graph_from_dict(data: dict) -> Graph:
     edges = _checked(data["edges"], list, "graph edges")
-    return Graph.from_edges(_checked(data["n"], int, "graph n"),
-                            [_int_tuple(e, "a graph edge") for e in edges])
+    n = _checked(data["n"], int, "graph n")
+    if n > MAX_GRAPH_VERTICES:
+        raise ValueError(f"graph n exceeds the limit of {MAX_GRAPH_VERTICES} vertices")
+    return Graph.from_edges(n, [_int_tuple(e, "a graph edge") for e in edges])
 
 
 def hypergraph_to_dict(h: Hypergraph) -> dict:

@@ -8,11 +8,18 @@ implementations.
 from __future__ import annotations
 
 import itertools
+import os
 from fractions import Fraction
 
 import pytest
+from hypothesis import settings
 
 from container_bench import Csp, Graph, Hypergraph
+
+# HYPOTHESIS_PROFILE=ci replays the same examples on every run, so a CI
+# failure reproduces locally under the same setting.
+settings.register_profile("ci", derandomize=True, deadline=None)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 
 @pytest.fixture(scope="session")
@@ -96,11 +103,12 @@ def oracle_deg_leq_n(h: Hypergraph, container, n_bound: int, v: int) -> int:
     """Naive max over all D <= n_bound with v in D of deg_{H[D]}(v)."""
     container = sorted(set(container))
     others = [w for w in container if w != v]
+    incident = [set(e) for e in edge_lists(h) if v in e]
     best = 0
     for size in range(min(n_bound, len(container))):
         for extra in itertools.combinations(others, size):
             inside = set(extra) | {v}
-            deg = sum(1 for e in edge_lists(h) if v in e and set(e) <= inside)
+            deg = sum(1 for e in incident if e <= inside)
             best = max(best, deg)
     return best
 

@@ -2,6 +2,8 @@ import json
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from container_bench import serialize
 from container_bench.cli import main
@@ -542,7 +544,7 @@ def test_csp_from_dict_rejects_wrong_field_types(triangle_csp, field, value):
 
 @pytest.mark.parametrize("field, value", [
     ("n", None), ("n", False), ("edges", "01"), ("edges", [0, 1]),
-    ("edges", [[0, "1"]]),
+    ("edges", [[0, "1"]]), ("n", 2**16 + 1),
 ])
 def test_graph_from_dict_rejects_wrong_field_types(k4, field, value):
     data = {**serialize.graph_to_dict(k4), field: value}
@@ -686,3 +688,89 @@ def test_serial_gcl_star_frees_each_graph_before_the_next(tmp_path, monkeypatch)
     # Each entry's graph (and the trace memo on it) is gone before the next
     # entry is checked: a serial sweep holds one entry at a time.
     assert alive_at_check == [0, 0, 0]
+
+
+def test_certify_far_er_graph_at_22_vertices(tmp_path):
+    from fractions import Fraction
+
+    from container_bench import gen_er_graph
+    from container_bench.core import mask_of
+
+    graph = gen_er_graph(22, Fraction(7, 10), seed=1)
+    path = tmp_path / "g22.json"
+    path.write_text(serialize.canonical_dumps(serialize.graph_to_dict(graph)))
+    out = tmp_path / "cert.json"
+    assert run_cli("certify", "--graph", str(path), "--rho", "1/2",
+                   "--epsilon", "1/64", "--out", str(out)) == 0
+    cert = read_json(out)
+    assert cert["far"] is True and len(cert["witness"]) == 11
+    assert cert["min_edits"] >= 1
+    assert cert["min_edits"] == graph.edges_inside(mask_of(cert["witness"]))
+
+
+# ------------------------------------------------------- graph-reading fuzz
+
+_FUZZ_GRAPH = {"n": 6, "edges": [[0, 1], [0, 2], [1, 2], [2, 3], [3, 4], [4, 5]]}
+_json_scalars = st.one_of(st.none(), st.booleans(), st.integers(-2**70, 2**70),
+                          st.floats(allow_nan=False), st.text(max_size=4))
+_json_values = st.recursive(
+    _json_scalars,
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=6)
+_vertex_counts = st.one_of(st.integers(-4, 24), st.integers(2**16, 2**80), _json_values)
+_edges = st.one_of(
+    st.integers(-2, 7).map(lambda v: [v, v]),  # self-loop
+    st.lists(st.integers(-2, 30), max_size=4),  # short, long or out of range
+    st.sampled_from(_FUZZ_GRAPH["edges"]),  # duplicate
+    _json_values)
+
+
+@st.composite
+def _graph_documents(draw) -> str:
+    if draw(st.integers(0, 9)) == 0:
+        return json.dumps(draw(_json_values))
+    doc = dict(_FUZZ_GRAPH)
+    if draw(st.booleans()):
+        doc["n"] = draw(_vertex_counts)
+    if draw(st.booleans()):
+        doc["edges"] = doc["edges"] + draw(st.lists(_edges, max_size=3))
+    elif draw(st.booleans()):
+        doc["edges"] = draw(st.one_of(st.lists(_edges, max_size=6), _json_values))
+    for key in draw(st.sets(st.sampled_from(sorted(doc)), max_size=2)):
+        del doc[key]
+    text = json.dumps(doc)
+    return text[:draw(st.integers(0, len(text)))] if draw(st.booleans()) else text
+
+
+_rationals = st.one_of(
+    st.builds("{}/{}".format, st.integers(-2, 9), st.integers(-1, 9)),
+    st.sampled_from(["1/2", "1/64", "1", "0", "3/2", "0.5", "1e-3", "", "1/0",
+                     " 1/3 ", "1//2", "1/" + "9" * 40, "9" * 5000]),
+    st.text(max_size=6))
+
+
+@settings(max_examples=200, deadline=None)
+@given(verb=st.sampled_from(["certify", "dist-graph"]), document=_graph_documents(),
+       rho=st.none() | _rationals, epsilon=st.none() | _rationals)
+def test_graph_reading_verbs_exit_0_or_2_on_mutated_input(verb, document, rho, epsilon):
+    import contextlib
+    import io
+    import tempfile
+
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "graph.json"
+        path.write_text(document)
+        argv = [verb, "--graph", str(path)]
+        argv += ["--rho", rho] if rho is not None else []
+        argv += ["--epsilon", epsilon] if epsilon is not None else []
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()) as err:
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # argparse rejects the command line
+                code = exc.code
+    err = err.getvalue()
+    assert code in (0, 2), (code, err)
+    assert sum("error:" in line for line in err.splitlines()) <= 1, err
+    assert "Traceback" not in err

@@ -302,6 +302,55 @@ def test_distance_matches_brute_force_oracle():
             oracle_min_edges_subset(g, ceil_frac(rho * n)), (seed, rho)
 
 
+def plain_distance_to_rho_is(g, rho):
+    """distance_to_rho_is before its lower bound: enumeration in
+    itertools.combinations order with only the running-count cut."""
+    n = g.n
+    target = ceil_frac(rho * n)
+    if target == 0:
+        return RhoDistance(0, Fraction(0), (), 0)
+    best = math.comb(target, 2) + 1
+    best_mask = 0
+    adj = g.adj
+
+    def rec(start, chosen, size, count):
+        nonlocal best, best_mask
+        if count >= best:
+            return
+        if size == target:
+            best, best_mask = count, chosen
+            return
+        for v in range(start, n - (target - size) + 1):
+            rec(v + 1, chosen | 1 << v, size + 1,
+                count + (adj[v] & chosen).bit_count())
+            if best == 0:
+                return
+
+    rec(0, 0, 0, 0)
+    return RhoDistance(best, Fraction(best, n * n), bits_of(best_mask), target)
+
+
+def test_bounded_distance_matches_plain_enumeration():
+    # Every (n, graph kind, rho) for n in 1..18, twice with different seeds;
+    # RhoDistance equality covers min_edits, distance, witness and target_size.
+    from container_bench import gen_planted_is_graph
+
+    rhos = [Fraction(1, 4), Fraction(1, 3), Fraction(1, 2), Fraction(2, 3),
+            Fraction(3, 4), Fraction(1)]
+    densities = [Fraction(1, 5), Fraction(1, 2), Fraction(4, 5), Fraction(7, 10)]
+    for seed in range(1296):
+        n, kind = 1 + seed % 18, (seed // 18) % 6
+        rho = rhos[(seed // 108) % 6]
+        if kind < 4:
+            g = gen_er_graph(n, densities[kind], seed=seed)
+        elif kind == 4:
+            g = gen_planted_is_graph(n, Fraction(1, 3), Fraction(4, 5), seed=seed)
+        else:
+            g = Graph.from_edges(n, []) if seed < 648 else complete_graph(n)
+        assert distance_to_rho_is(g, rho) == plain_distance_to_rho_is(g, rho), \
+            (seed, n, kind, rho)
+
+
 def test_distance_cap():
     g = Graph.from_edges(24, [])
     with pytest.raises(WorkCapExceeded):

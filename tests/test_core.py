@@ -117,6 +117,31 @@ def test_enumerate_cap():
     assert len(list(enumerate_independent_sets(g, size=0, cap=31))) == 1
 
 
+@pytest.mark.parametrize("exhaust", [True, False])
+@pytest.mark.parametrize("make_host", [
+    lambda: Graph.from_edges(4, [(0, 1), (2, 3)]),
+    lambda: Hypergraph.from_edges(3, 5, [(0, 1, 2), (2, 3, 4)]),
+], ids=["graph", "hypergraph"])
+def test_enumeration_frees_its_host_without_the_cyclic_collector(make_host,
+                                                                 exhaust):
+    import gc
+    import weakref
+
+    host = make_host()
+    ref = weakref.ref(host)
+    gc.disable()
+    try:
+        sets = enumerate_independent_sets(host)
+        if exhaust:
+            assert len(list(sets)) > 2
+        else:
+            next(sets), next(sets)
+        del sets, host
+        assert ref() is None
+    finally:
+        gc.enable()
+
+
 def test_degree_examples(triangle_graph):
     g = Graph.from_edges(2, [])
     assert degree(g, (0, 1), 0) == 0
