@@ -2,7 +2,7 @@
 
 Exit-code contract: 0 on success, 1 when a verifier finds a counterexample
 (the record is serialized before exiting), 2 on usage, validation, corpus
-layout, or work-cap errors, including a worker count (--workers or
+layout, path or work-cap errors, including a worker count (--workers or
 CONTAINER_BENCH_WORKERS) that is not a positive integer, and 3 on any other
 exception (an internal error, here or in a worker), as one "error:" line.
 CI can therefore tell "bound falsified" apart from "tool misuse".
@@ -353,7 +353,7 @@ def _cmd_containers_sat(args) -> int:
     h = build_hypergraph(csp)
     n_bound = args.n_bound if args.n_bound is not None else csp.n
     traces = [
-        run_generator(h, n_bound, iset, deg_mode=args.deg_mode)
+        run_generator(h, n_bound, iset)
         for iset in _independent_sets_for(args, h, args.variable_distinct)
     ]
     return _emit_traces(args, traces, serialize.container_trace_to_dict,
@@ -460,8 +460,7 @@ def _verify_trace_file(args) -> int:
         fields = ("inner", "outer")
     else:
         trace = serialize.container_trace_from_dict(data)
-        fresh = run_generator(trace.hypergraph, trace.n_bound,
-                              trace.independent_set, deg_mode=trace.deg_mode)
+        fresh = run_generator(trace.hypergraph, trace.n_bound, trace.independent_set)
         fields = ("container",)
     for t in range(1, max(trace.iteration_count, fresh.iteration_count) + 1):
         recorded = [getattr(trace, f"{f}_at")(t) for f in fields]
@@ -777,7 +776,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-bound", type=int, default=None)
     _add_sets_and_format(p)
     p.add_argument("--variable-distinct", action="store_true")
-    p.add_argument("--deg-mode", choices=("exact", "greedy"), default="exact")
     _add_out(p)
     p.set_defaults(func=_cmd_containers_sat)
 
@@ -875,15 +873,17 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
-    except CounterexampleFound as exc:
-        text = serialize.canonical_dumps({"counterexample": exc.record})
-        if getattr(args, "out", None) is not None:
-            Path(args.out).write_text(text)
-        sys.stderr.write(text)
-        return EXIT_COUNTEREXAMPLE
-    # ValueError covers RationalParseError and NotFarError.
-    except (ValueError, WorkCapExceeded, FileNotFoundError, KeyError) as exc:
+        try:
+            return args.func(args)
+        except CounterexampleFound as exc:
+            text = serialize.canonical_dumps({"counterexample": exc.record})
+            if getattr(args, "out", None) is not None:
+                Path(args.out).write_text(text)
+            sys.stderr.write(text)
+            return EXIT_COUNTEREXAMPLE
+    # ValueError covers RationalParseError and NotFarError; OSError a path
+    # that cannot be read or written, such as a directory.
+    except (ValueError, WorkCapExceeded, OSError, KeyError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_USAGE
     except Exception as exc:  # a defect, not a verdict: never exit 1

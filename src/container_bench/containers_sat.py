@@ -4,8 +4,7 @@ degree subproblem it selects by, and the verifiers built on its traces.
 deg_leq_n(v): the maximum degree v attains over induced subhypergraphs of the
 current container on at most n vertices.  Computed exactly by branch and
 bound over the vertices that co-occur with v in an edge (no other vertex can
-change the degree).  The exact mode is the only one verifiers accept; a
-greedy mode exists for large demos and is marked non-certifying.
+change the degree).
 
 The generator runs iterations that each select q-1 fingerprint vertices from
 the independent set: the first by largest deg_leq_n in the container, the
@@ -20,7 +19,7 @@ Memo: everything the generator computes on a hypergraph is kept in one
 on first use by `core.memo_of`).  It holds the incidence lists, exact
 deg_leq_n results keyed on (container mask, n, v, cap), each container's
 degree table keyed on (container mask, n, cap), and finished traces keyed on
-(independent-set mask, n, cap, deg mode).  It holds no reference back to the
+(independent-set mask, n, cap).  It holds no reference back to the
 hypergraph, takes no part in ==, hash, repr or pickling, and is freed with
 the hypergraph; no state outlives the objects it describes.
 `build_hypergraph` returns the same Hypergraph for the same Csp, so a sweep
@@ -33,7 +32,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import attrgetter
+from functools import reduce
+from operator import attrgetter, or_
 from typing import Callable, Optional
 
 from .core import (
@@ -68,39 +68,75 @@ class DegLeqNResult:
     witness: tuple[int, ...]
 
 
-def _max_cover(pmasks: tuple[int, ...], allowed: tuple[int, ...], budget: int,
-               base_mask: int, target: Optional[int] = None) -> int:
-    """Max number of partner masks fully covered by base plus <= budget
-    vertices chosen from `allowed`; early-exits once `target` is reached."""
-    suffix = [0] * (len(allowed) + 1)
-    for i in range(len(allowed) - 1, -1, -1):
-        suffix[i] = suffix[i + 1] | (1 << allowed[i])
-    best = 0
+def _weight_bound(live: dict[int, int], left: int, lcm: int) -> int:
+    """lcm times an upper bound on the masks that <= left more partners cover.
 
-    def rec(i: int, cur: int, left: int) -> None:
-        nonlocal best
-        covered = 0
-        reachable = 0
-        for pm in pmasks:
-            missing = pm & ~cur
-            if missing == 0:
-                covered += 1
-            elif missing & ~suffix[i] == 0 and missing.bit_count() <= left:
-                reachable += 1
+    live maps each missing set M to its multiplicity.  A completion T covers a
+    mask only if M is inside T; split that mask's lcm units as lcm/|M| to each
+    member of M.  A vertex of T then meets at most C(|T|-1, s-1) distinct
+    size-s sets, so its weight sums, per size s, lcm/s times its
+    C(left-1, s-1) largest multiplicities, and T gets at most the `left`
+    largest weights."""
+    by_size: dict[int, dict[int, list[int]]] = {}
+    for m, mult in live.items():
+        by_vertex = by_size.setdefault(m.bit_count(), {})
+        while m:
+            low = m & -m
+            by_vertex.setdefault(low, []).append(mult)
+            m ^= low
+    weights: dict[int, int] = {}
+    for s, by_vertex in by_size.items():
+        top, share = math.comb(left - 1, s - 1), lcm // s
+        for w, mults in by_vertex.items():
+            if len(mults) > top:
+                mults = sorted(mults)[-top:]
+            weights[w] = weights.get(w, 0) + share * sum(mults)
+    return sum(sorted(weights.values())[-left:])
+
+
+def _cover_search(pmasks: tuple[int, ...], order: tuple[int, ...], budget: int,
+                  q: int, best: int, stop: Optional[int] = None) -> tuple[int, tuple[int, ...]]:
+    """The most partner masks that <= budget vertices of `order` cover, with
+    the first such set, or (best, ()) if none covers more than `best`; given
+    the optimum as `stop`, the search ends once it reaches it.
+
+    Branch and bound, include first, visits chosen sets in lexicographic order
+    of their positions in `order` (local bit i is order[i]) and keeps only a
+    strict improvement.  A node keeps the missing set of every uncovered mask
+    it can still complete (all of it later in `order`, at most `left`
+    vertices) with its multiplicity, since distinct masks can miss one set."""
+    index = {u: i for i, u in enumerate(order)}
+    live: dict[int, int] = {}
+    for pm in pmasks:
+        m = mask_of(index[u] for u in bits_of(pm))
+        if m.bit_count() <= budget:
+            live[m] = 1
+    lcm = math.lcm(*range(1, q))
+    best_set = 0
+
+    def rec(bit: int, chosen: int, left: int, covered: int, live: dict[int, int]) -> None:
+        nonlocal best, best_set
         if covered > best:
-            best = covered
-        if target is not None and best >= target:
+            best, best_set = covered, chosen
+        if (best == stop or not live or left == 0
+                or lcm * covered + _weight_bound(live, left, lcm) <= lcm * best):
             return
-        if covered + reachable <= best or left == 0 or i == len(allowed):
-            return
-        v = allowed[i]
-        rec(i + 1, cur | (1 << v), left - 1)
-        if target is not None and best >= target:
-            return
-        rec(i + 1, cur, left)
+        taken: dict[int, int] = {}
+        gain = 0
+        for m, mult in live.items():
+            if m & bit:
+                m ^= bit
+                if not m:
+                    gain += mult
+                    continue
+            if m.bit_count() < left:
+                taken[m] = taken.get(m, 0) + mult
+        rec(bit << 1, chosen | bit, left - 1, covered + gain, taken)
+        rec(bit << 1, chosen, left, covered,
+            {m: mult for m, mult in live.items() if not m & bit})
 
-    rec(0, base_mask, budget)
-    return best
+    rec(1, 0, budget, 0, live)
+    return best, tuple(order[i] for i in bits_of(best_set))
 
 
 def _deg_leq_n_exact(q: int, incident: tuple[int, ...], c_mask: int,
@@ -111,38 +147,25 @@ def _deg_leq_n_exact(q: int, incident: tuple[int, ...], c_mask: int,
     budget = min(n_bound, c_size) - 1
     vbit = 1 << v
     pmasks = tuple(e & ~vbit for e in incident if e & ~c_mask == 0)
-    relevant_mask = 0
-    for pm in pmasks:
-        relevant_mask |= pm
-    partners = bits_of(relevant_mask)
+    partners = bits_of(reduce(or_, pmasks, 0))
     if len(partners) > cap:
         raise WorkCapExceeded(
             f"deg_leq_n at vertex {v}: {len(partners)} relevant vertices exceed cap {cap}"
         )
 
-    if q == 2:
+    if len(partners) <= budget:
+        # Every partner fits: all masks are covered, and only by all partners.
+        value, support = len(pmasks), partners
+    elif q == 2:
         # Each partner covers exactly one edge: take the smallest ones.
         value = min(len(pmasks), budget)
         support = partners[:value]
     else:
-        value = _max_cover(pmasks, partners, budget, 0)
-        # Lexicographically smallest optimal support, built greedily.
-        support = []
-        forced = 0
-        while _max_cover(pmasks, (), 0, forced) < value:
-            lo = support[-1] + 1 if support else 0
-            for u in partners:
-                if u < lo:
-                    continue
-                rest = tuple(w for w in partners if w > u)
-                left = budget - len(support) - 1
-                if _max_cover(pmasks, rest, left, forced | (1 << u),
-                              target=value) >= value:
-                    support.append(u)
-                    forced |= 1 << u
-                    break
-            else:  # pragma: no cover - value is achievable by construction
-                raise AssertionError("optimal support reconstruction failed")
+        # The value, trying partners of high link degree first; then the
+        # lexicographically smallest optimal support, from just below it.
+        by_link = sorted(partners, key=lambda u: -sum(pm >> u & 1 for pm in pmasks))
+        value = _cover_search(pmasks, tuple(by_link), budget, q, -1)[0]
+        value, support = _cover_search(pmasks, partners, budget, q, value - 1, value)
 
     witness = vbit | mask_of(support)
     want = min(n_bound, c_size)
@@ -168,7 +191,7 @@ class _GeneratorMemo:
         self.incidence = tuple(tuple(es) for es in by_vertex)
         self.deg: dict[tuple[int, int, int, int], tuple[int, int]] = {}
         self.tables: dict[tuple[int, int, int], dict[int, int]] = {}
-        self.traces: dict[tuple[int, int, int, str], tuple[SatIteration, ...]] = {}
+        self.traces: dict[tuple[int, int, int], tuple[SatIteration, ...]] = {}
 
     def deg_leq_n(self, c_mask: int, n_bound: int, v: int, cap: int) -> tuple[int, int]:
         key = (c_mask, n_bound, v, cap)
@@ -195,44 +218,6 @@ def deg_leq_n(h: Hypergraph, container, n_bound: int, v: int,
     if not (c_mask >> v) & 1:
         raise ValueError(f"vertex {v} is not in the container")
     value, witness = memo_of(h, _GeneratorMemo).deg_leq_n(c_mask, n_bound, v, cap)
-    return DegLeqNResult(value, bits_of(witness))
-
-
-def deg_leq_n_greedy(h: Hypergraph, container, n_bound: int, v: int) -> DegLeqNResult:
-    """Greedy lower bound for deg_leq_n.  NON-CERTIFYING: demo use only;
-    verifiers never call this."""
-    c_mask = as_mask(container, h.n)
-    if not (c_mask >> v) & 1:
-        raise ValueError(f"vertex {v} is not in the container")
-    vbit = 1 << v
-    incidence = memo_of(h, _GeneratorMemo).incidence[v]
-    pmasks = [e & ~vbit for e in incidence if e & ~c_mask == 0]
-    budget = min(n_bound, c_mask.bit_count()) - 1
-    chosen = 0
-    while True:
-        # Complete the cheapest incomplete edge that still fits the budget.
-        pick = None
-        for pm in pmasks:
-            missing = pm & ~chosen
-            if missing == 0:
-                continue
-            if chosen.bit_count() + missing.bit_count() > budget:
-                continue
-            if pick is None or missing.bit_count() < pick.bit_count() or (
-                missing.bit_count() == pick.bit_count() and missing < pick
-            ):
-                pick = missing
-        if pick is None:
-            break
-        chosen |= pick
-    value = sum(1 for pm in pmasks if pm & ~chosen == 0)
-    witness = vbit | chosen
-    pad_from = c_mask & ~witness
-    want = min(n_bound, c_mask.bit_count())
-    while witness.bit_count() < want:
-        low = pad_from & -pad_from
-        witness |= low
-        pad_from ^= low
     return DegLeqNResult(value, bits_of(witness))
 
 
@@ -282,7 +267,6 @@ class ContainerTrace:
     n_bound: int
     independent_set: tuple[int, ...]
     iterations: tuple[SatIteration, ...]
-    deg_mode: str = "exact"
 
     fingerprint_at = extended_at("fingerprint", lambda trace: ())
     container_at = extended_at("container",
@@ -293,58 +277,32 @@ class ContainerTrace:
         return len(self.iterations)
 
 
-def _argmax_smallest(candidates, value) -> int:
-    best_v, best_val = None, None
-    for w in candidates:
-        val = value(w)
-        if best_val is None or val > best_val:
-            best_v, best_val = w, val
-    return best_v
-
-
 def run_generator(h: Hypergraph, n_bound: int, independent_set,
-                  deg_cap: int = DEFAULT_RELEVANT_CAP,
-                  deg_mode: str = "exact") -> ContainerTrace:
+                  deg_cap: int = DEFAULT_RELEVANT_CAP) -> ContainerTrace:
     """Run the fingerprint & container generator on an independent set."""
     i_mask = as_mask(independent_set, h.n)
     if not is_independent(h, i_mask):
         raise ValueError("input vertex set is not independent")
     if not 1 <= n_bound < h.n:
         raise ValueError(f"subgraph bound {n_bound} must satisfy 1 <= n < {h.n}")
-    if deg_mode not in ("exact", "greedy"):
-        raise ValueError(f"unknown deg mode {deg_mode!r}")
 
     memo = memo_of(h, _GeneratorMemo)
-    key = (i_mask, n_bound, deg_cap, deg_mode)
+    key = (i_mask, n_bound, deg_cap)
     done = memo.traces.get(key)
     if done is not None:
-        return ContainerTrace(h, n_bound, bits_of(i_mask), done, deg_mode)
-
-    if deg_mode == "exact":
-        def degree_table(c_mask: int) -> dict[int, int]:
-            return memo.degree_table(c_mask, n_bound, deg_cap)
-
-        def witness_of(c_mask: int, v: int) -> int:
-            return memo.deg_leq_n(c_mask, n_bound, v, deg_cap)[1]
-    else:
-        def degree_table(c_mask: int) -> dict[int, int]:
-            return {w: deg_leq_n_greedy(h, c_mask, n_bound, w).value
-                    for w in bits_of(c_mask)}
-
-        def witness_of(c_mask: int, v: int) -> int:
-            return mask_of(deg_leq_n_greedy(h, c_mask, n_bound, v).witness)
+        return ContainerTrace(h, n_bound, bits_of(i_mask), done)
 
     q = h.q
-    full = (1 << h.n) - 1
-    f_mask, c_mask = 0, full
+    f_mask, c_mask = 0, (1 << h.n) - 1
     iterations: list[SatIteration] = []
     t = 0
     while i_mask & ~f_mask:
         t += 1
-        values = degree_table(c_mask)
-        v_q = _argmax_smallest(bits_of(i_mask & ~f_mask), values.__getitem__)
+        values = memo.degree_table(c_mask, n_bound, deg_cap)
+        # max keeps the first maximum, so ties go to the smallest index.
+        v_q = max(bits_of(i_mask & ~f_mask), key=values.__getitem__)
         x_q = tuple(w for w in values if values[w] > values[v_q])
-        witness_mask = witness_of(c_mask, v_q)
+        witness_mask = memo.deg_leq_n(c_mask, n_bound, v_q, deg_cap)[1]
 
         vbit = 1 << v_q
         level_v = witness_mask & ~vbit
@@ -371,7 +329,7 @@ def run_generator(h: Hypergraph, n_bound: int, independent_set,
                     level_deg[w] += 1
             candidates = i_mask & level_v
             if candidates:
-                v_ell = _argmax_smallest(bits_of(candidates), level_deg.__getitem__)
+                v_ell = max(bits_of(candidates), key=level_deg.__getitem__)
                 x_ell = tuple(w for w in bits_of(level_v)
                               if level_deg[w] > level_deg[v_ell])
                 next_e = [e & ~(1 << v_ell) for e in level_e if (e >> v_ell) & 1]
@@ -415,7 +373,7 @@ def run_generator(h: Hypergraph, n_bound: int, independent_set,
         c_mask = c_new
 
     done = memo.traces[key] = tuple(iterations)
-    return ContainerTrace(h, n_bound, bits_of(i_mask), done, deg_mode)
+    return ContainerTrace(h, n_bound, bits_of(i_mask), done)
 
 
 @dataclass(frozen=True)
@@ -452,11 +410,8 @@ def check_edges_bound(h: Hypergraph) -> EdgesBoundOutcome:
     if m < 1:
         raise ValueError("edges-bound check requires at least one edge")
     threshold = Fraction((ell - 1) * m, h.n)
-    degs = [0] * h.n
-    for e in h.edges:
-        for v in bits_of(e):
-            degs[v] += 1
-    heavy = sum(1 for d in degs if d > threshold)
+    incidence = memo_of(h, _GeneratorMemo).incidence
+    heavy = sum(1 for edges in incidence if len(edges) > threshold)
     lower = Fraction(m, math.comb(h.n - 1, ell - 1))
     return EdgesBoundOutcome(heavy, lower, threshold, heavy >= lower)
 
@@ -486,28 +441,21 @@ def check_container_degree(trace: ContainerTrace, k: int, n: int,
     h = trace.hypergraph
     if h.n != k * n:
         raise ValueError(f"trace hypergraph has {h.n} vertices, expected k*n = {k * n}")
-    if trace.deg_mode != "exact":
-        raise ValueError("verification requires an exact-mode trace")
     q = h.q
     coeff = math.comb(n - 1, q - 1)
     records = []
-    worst: Optional[Fraction] = None
     memo = memo_of(h, _GeneratorMemo)
     for t in range(1, trace.iteration_count + 1):
         table = memo.degree_table(mask_of(trace.container_at(t)), n, deg_cap)
         max_deg = max(table.values(), default=0)
         bound = Fraction(2 * k * q, t) * coeff
         tighter = Fraction(2 * k * (q - 1), t) * coeff
-        ok = max_deg <= bound
-        slack = bound - max_deg
-        if worst is None or slack < worst:
-            worst = slack
         records.append(ContainerDegreeRecord(t, max_deg, bound, tighter,
-                                             ok, max_deg <= tighter))
+                                             max_deg <= bound, max_deg <= tighter))
     return ContainerDegreeOutcome(
         all(r.ok for r in records),
         all(r.tighter_ok for r in records),
-        worst,
+        min((r.bound - r.max_degree for r in records), default=None),
         tuple(records),
     )
 

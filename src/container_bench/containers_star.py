@@ -37,6 +37,7 @@ from .core import (
     WorkCapExceeded,
     as_mask,
     bits_of,
+    comb_exceeds,
     is_independent,
     mask_of,
     memo_of,
@@ -233,7 +234,7 @@ def distance_to_rho_is(g: Graph, rho: Fraction,
     target = ceil_frac(rho * n)
     if target == 0:
         return RhoDistance(0, Fraction(0), (), 0)
-    if math.comb(n, target) > cap:
+    if comb_exceeds(n, target, cap):
         raise WorkCapExceeded(
             f"C({n},{target}) subsets exceed the enumeration cap {cap}"
         )

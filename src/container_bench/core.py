@@ -24,6 +24,18 @@ class WorkCapExceeded(RuntimeError):
     """An exhaustive operation was asked to exceed its configured work cap."""
 
 
+def comb_exceeds(n: int, k: int, cap: int) -> bool:
+    """math.comb(n, k) > cap for 0 <= k <= n, without forming a huge C(n, k):
+    C(n, i) grows with i up to j = min(k, n - k), and C(n, j) = C(n, k), so
+    the running product stops once it passes cap."""
+    c = 1
+    for i in range(min(k, n - k)):
+        c = c * (n - i) // (i + 1)
+        if c > cap:
+            return True
+    return c > cap
+
+
 def memo_free_state(obj) -> dict:
     """Pickle state of a frozen dataclass without its per-instance memos."""
     return {k: v for k, v in obj.__dict__.items() if not k.startswith("_")}

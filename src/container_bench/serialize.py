@@ -11,7 +11,8 @@ Instance formats (bit-exact round trip, canonical key order and edge order):
 Rationals are serialized as exact "p/q" strings everywhere.  Every reader
 (instances, traces, certificates, the shpp spec) rejects a field of the wrong
 JSON type (a bool is not an integer) with a ValueError; the graph reader also
-rejects n above MAX_GRAPH_VERTICES.
+rejects n above MAX_GRAPH_VERTICES, and the container trace reader a deg_mode
+other than "exact".
 """
 
 from __future__ import annotations
@@ -120,7 +121,7 @@ def container_trace_to_dict(trace: ContainerTrace) -> dict:
         "n_bound": trace.n_bound,
         "independent_set": list(trace.independent_set),
         "extension_rule": "F_t = C_t = I for t beyond the recorded iterations",
-        "deg_mode": trace.deg_mode,
+        "deg_mode": "exact",
         "iterations": [
             {
                 "t": it.t,
@@ -144,6 +145,8 @@ def container_trace_to_dict(trace: ContainerTrace) -> dict:
 
 
 def container_trace_from_dict(data: dict) -> ContainerTrace:
+    if _checked(data.get("deg_mode", "exact"), str, "trace deg_mode") != "exact":
+        raise ValueError(f'trace deg_mode must be "exact", got {data["deg_mode"]!r}')
     iterations = []
     for it in _checked(data["iterations"], list, "trace iterations"):
         _checked(it, dict, "a trace iteration")
@@ -177,7 +180,6 @@ def container_trace_from_dict(data: dict) -> ContainerTrace:
         _checked(data["n_bound"], int, "trace n_bound"),
         _int_tuple(data["independent_set"], "trace independent_set"),
         tuple(iterations),
-        _checked(data.get("deg_mode", "exact"), str, "trace deg_mode"),
     )
 
 

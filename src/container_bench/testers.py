@@ -18,7 +18,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import Graph, Hypergraph, WorkCapExceeded, bits_of, mask_of
+from .core import Graph, Hypergraph, WorkCapExceeded, bits_of, comb_exceeds, mask_of
 from .csp import Csp, is_satisfiable, restrict
 from .rationals import ceil_frac, sign_with_ln
 from .rng import GENERATOR_NAME, sample_without_replacement
@@ -269,7 +269,7 @@ def star_tester(graph: Graph, params: StarTesterParams,
 
     m_core = ceil_frac(params.rho * r)
     m_body = ceil_frac(params.rho * s)
-    if math.comb(r, m_core) > search_cap:
+    if comb_exceeds(r, m_core, search_cap):
         raise WorkCapExceeded(
             f"C({r},{m_core}) core subsets exceed the search cap {search_cap}"
         )
@@ -354,7 +354,7 @@ def canonical_is_tester(graph: Graph, rho: Fraction, sample_size: int,
     if not 1 <= sample_size <= n:
         raise ValueError(f"sample size {sample_size} must lie in [1, {n}]")
     target_cap = ceil_frac(Fraction(rho) * sample_size)
-    if math.comb(sample_size, target_cap) > search_cap:
+    if comb_exceeds(sample_size, target_cap, search_cap):
         raise WorkCapExceeded(
             f"C({sample_size},{target_cap}) subsets exceed the search cap {search_cap}"
         )

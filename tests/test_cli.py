@@ -433,6 +433,42 @@ def test_internal_error_exits_3_without_traceback(tmp_path, monkeypatch, capsys)
     assert err.count("\n") == 1 and err.startswith("error:") and "boom" in err
 
 
+@pytest.mark.parametrize("workers", [("--workers", "1"),
+                                     ("--workers", "2", "--trials", "8")])
+def test_estimate_misuse_exits_2_as_test_does(tmp_path, capsys, workers):
+    """A sample larger than the instance is misuse in every trial, on the
+    serial path and the pool path alike."""
+    csp, graph = tmp_path / "csp.json", tmp_path / "g.json"
+    assert run_cli("gen-csp", "--n", "5", "--k", "2", "--q", "2", "--seed", "1",
+                   "--out", str(csp)) == 0
+    assert run_cli("gen-graph", "--n", "30", "--seed", "1", "--out", str(graph)) == 0
+    capsys.readouterr()
+    for argv in (["sat", "--csp", str(csp), "--epsilon", "1/4", "--s", "9"],
+                 ["indepset", "--graph", str(graph), "--rho", "1/2",
+                  "--epsilon", "1/4", "--s", "40"]):
+        for verb in ("test", "estimate"):
+            extra = workers if verb == "estimate" else ()
+            assert run_cli(verb, *argv, "--seed", "3", *extra,
+                           "--out", str(tmp_path / "r")) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error:") and err.count("\n") == 1
+            assert "internal" not in err
+
+
+def test_directory_as_input_or_output_path_is_usage_error(tmp_path, capsys,
+                                                          triangle_csp_file):
+    for argv in (["certify", "--graph", str(tmp_path), "--epsilon", "1/4"],
+                 ["dist-csp", "--csp", str(tmp_path)],
+                 ["gen-csp", "--n", "5", "--k", "2", "--q", "2", "--seed", "1",
+                  "--out", str(tmp_path)],
+                 ["dist-csp", "--csp", str(triangle_csp_file), "--out", str(tmp_path)]):
+        capsys.readouterr()
+        assert run_cli(*argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "Is a directory" in err and "internal" not in err
+
+
 def _far_graph_entries(count: int) -> list:
     from fractions import Fraction
 
@@ -617,6 +653,7 @@ def test_well_formed_traces_replay_clean(tmp_path, triangle_csp):
     ("star", "t", "1"), ("star", "u", True), ("star", "v", "2"),
     ("sat", "iterations", [1]), ("sat", "independent_set", 5),
     ("sat", "hypergraph", [1]), ("sat", "n_bound", "3"), ("sat", "deg_mode", 1),
+    ("sat", "deg_mode", "greedy"),
     ("sat", "container", ["a"]), ("sat", "selected", [0.5]), ("sat", "t", "1"),
     ("sat", "degenerate", 0), ("sat", "levels", [1]), ("sat", "exclusions", "x"),
 ])

@@ -1,5 +1,6 @@
 import itertools
 import pickle
+import random
 from fractions import Fraction
 
 import pytest
@@ -21,8 +22,7 @@ from container_bench import (
     run_generator,
     verify_gcl_sat,
 )
-from container_bench.containers_sat import deg_leq_n_greedy
-from container_bench.core import mask_of
+from container_bench.core import bits_of, mask_of
 from container_bench.generators import gen_random_hypergraph
 
 from conftest import oracle_deg_leq_n
@@ -89,12 +89,79 @@ def test_deg_matches_naive_oracle_random(seed):
         assert got == oracle_deg_leq_n(h, container, bound, v)
 
 
-def test_greedy_mode_is_lower_bound_and_labelled_noncertifying():
-    h = gen_random_hypergraph(9, 3, Fraction(1, 3), seed=5)
-    exact = deg_leq_n(h, range(9), 4, 0).value
-    greedy = deg_leq_n_greedy(h, range(9), 4, 0).value
-    assert greedy <= exact
-    assert "NON-CERTIFYING" in deg_leq_n_greedy.__doc__
+def _reference_max_cover(pmasks, allowed, budget, base_mask, target=None):
+    """The covered + reachable branch and bound that the weighted search
+    replaced, kept here as a differential reference."""
+    suffix = [0] * (len(allowed) + 1)
+    for i in range(len(allowed) - 1, -1, -1):
+        suffix[i] = suffix[i + 1] | (1 << allowed[i])
+    best = 0
+
+    def rec(i, cur, left):
+        nonlocal best
+        covered = reachable = 0
+        for pm in pmasks:
+            missing = pm & ~cur
+            if missing == 0:
+                covered += 1
+            elif missing & ~suffix[i] == 0 and missing.bit_count() <= left:
+                reachable += 1
+        best = max(best, covered)
+        if target is not None and best >= target:
+            return
+        if covered + reachable <= best or left == 0 or i == len(allowed):
+            return
+        rec(i + 1, cur | (1 << allowed[i]), left - 1)
+        if target is not None and best >= target:
+            return
+        rec(i + 1, cur, left)
+
+    rec(0, base_mask, budget)
+    return best
+
+
+def _reference_deg_leq_n(h, container, n_bound, v):
+    """(value, witness) by the reference search plus a greedy reconstruction
+    of the lexicographically smallest optimal support."""
+    c_mask = mask_of(container)
+    budget = min(n_bound, c_mask.bit_count()) - 1
+    pmasks = tuple(e & ~(1 << v) for e in h.edges
+                   if (e >> v) & 1 and e & ~c_mask == 0)
+    partners = bits_of(mask_of(u for pm in pmasks for u in bits_of(pm)))
+    value = _reference_max_cover(pmasks, partners, budget, 0)
+    support, forced = [], 0
+    while _reference_max_cover(pmasks, (), 0, forced) < value:
+        lo = support[-1] + 1 if support else 0
+        u = next(u for u in partners if u >= lo and _reference_max_cover(
+            pmasks, tuple(w for w in partners if w > u), budget - len(support) - 1,
+            forced | (1 << u), target=value) >= value)
+        support.append(u)
+        forced |= 1 << u
+    witness = (1 << v) | forced
+    pad_from = c_mask & ~witness
+    while witness.bit_count() < min(n_bound, c_mask.bit_count()):
+        low = pad_from & -pad_from
+        witness, pad_from = witness | low, pad_from ^ low
+    return value, bits_of(witness)
+
+
+@pytest.mark.parametrize("block", range(12))
+def test_deg_matches_reference_search_and_oracle(block):
+    """1,200 seeded (hypergraph, container, n, v) cases, q in {2, 3, 4}:
+    value and witness against the reference search, value against the
+    brute-force oracle."""
+    rnd = random.Random(f"deg_leq_n/{block}")
+    for case in range(100):
+        q = 2 + case % 3
+        n = rnd.randint(q + 1, 11)
+        density = Fraction(rnd.choice((1, 2, 3, 4)), 5)
+        h = gen_random_hypergraph(n, q, density, seed=block * 100 + case)
+        v = rnd.randrange(n)
+        container = sorted({v} | {w for w in range(n) if rnd.random() < 0.8})
+        bound = rnd.randint(1, n)
+        got = deg_leq_n(h, container, bound, v)
+        assert (got.value, got.witness) == _reference_deg_leq_n(h, container, bound, v)
+        assert got.value == oracle_deg_leq_n(h, container, bound, v)
 
 
 # -------------------------------------------------------------- run_generator
@@ -345,16 +412,6 @@ def test_memo_keeps_the_bound_in_its_key():
                 oracle_deg_leq_n(h, container, bound, v)
 
 
-def test_memo_keeps_exact_and_greedy_traces_apart():
-    h = gen_random_hypergraph(9, 3, Fraction(1, 3), seed=0)
-    exact = run_generator(h, 4, (1,))
-    greedy = run_generator(h, 4, (1,), deg_mode="greedy")
-    assert (exact.deg_mode, greedy.deg_mode) == ("exact", "greedy")
-    assert exact.iterations != greedy.iterations
-    assert run_generator(h, 4, (1,)) == exact == run_generator(_fresh(h), 4, (1,))
-    assert greedy == run_generator(_fresh(h), 4, (1,), deg_mode="greedy")
-
-
 def test_memo_leaves_equality_hash_repr_and_pickle_alone(triangle_csp):
     csp = Csp(triangle_csp.n, triangle_csp.k, triangle_csp.q, triangle_csp.constraints)
     h = build_hypergraph(csp)
@@ -385,11 +442,10 @@ def _hypergraph_and_bound(draw):
 def test_memo_warm_results_equal_fresh_results(case, data):
     h, bound = case
     isets = [s for s in enumerate_independent_sets(h) if len(s) <= 4]
-    # Warm the memo on other sets, bounds and modes first.
-    warm = st.tuples(st.sampled_from(isets), st.integers(1, h.n - 1),
-                     st.sampled_from(("exact", "greedy")))
-    for iset, other_bound, mode in data.draw(st.lists(warm, max_size=6)):
-        run_generator(h, other_bound, iset, deg_mode=mode)
+    # Warm the memo on other sets and bounds first.
+    warm = st.tuples(st.sampled_from(isets), st.integers(1, h.n - 1))
+    for iset, other_bound in data.draw(st.lists(warm, max_size=6)):
+        run_generator(h, other_bound, iset)
         check_closure(h, other_bound, iset)
     iset = data.draw(st.sampled_from(isets))
     assert run_generator(h, bound, iset) == run_generator(_fresh(h), bound, iset)

@@ -357,6 +357,13 @@ def test_distance_cap():
         distance_to_rho_is(g, Fraction(1, 2), cap=100)
 
 
+def test_distance_cap_refuses_a_huge_graph_at_once():
+    # C(200000, 100000) has about 60,000 digits; the cap check must not form it.
+    g = Graph.from_edges(200_000, [])
+    with pytest.raises(WorkCapExceeded):
+        distance_to_rho_is(g, Fraction(1, 2))
+
+
 # ---------------------------------------------------------------- shrinking
 
 def certified_graph(seed=3, n=10, p=Fraction(3, 5)):

@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import pytest
 from hypothesis import given, settings
@@ -13,7 +14,7 @@ from container_bench import (
     induced_subgraph,
     is_independent,
 )
-from container_bench.core import as_mask, bits_of, mask_of
+from container_bench.core import as_mask, bits_of, comb_exceeds, mask_of
 
 from conftest import oracle_independent_sets
 
@@ -204,3 +205,11 @@ def test_enumeration_matches_subset_filter_at_cap_scale():
             if is_independent(host, sub)
         )
         assert got == expected
+
+
+def test_comb_exceeds_agrees_with_math_comb():
+    for n in range(0, 40):
+        for k in range(0, n + 1):
+            exact = math.comb(n, k)
+            for cap in {0, 1, exact - 1, exact, exact + 1, exact // 2, 10**6}:
+                assert comb_exceeds(n, k, cap) == (exact > cap), (n, k, cap)

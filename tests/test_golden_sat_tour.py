@@ -5,7 +5,9 @@ containers-sat in JSON and CSV, verify gcl-sat / closure / container-degree
 on a small certified corpus, and verify closure --trace on a recorded
 containers-sat trace) in a fresh directory with relative paths, and compares
 every artifact's sha256 with digests recorded before the verify verbs were
-collapsed into one corpus-sweep loop.  Artifacts echo their argv in
+collapsed into one corpus-sweep loop.  sat.json's digest was re-recorded when
+containers-sat lost its --deg-mode flag: its config no longer echoes
+"deg_mode", and nothing else in it changed.  Artifacts echo their argv in
 "config", so the paths and flags below are part of the recorded bytes;
 --workers is explicit for the same reason.
 """
@@ -39,7 +41,7 @@ GOLDEN = {
     "replay.json": "5af6e15d9711f7469b438c745ad2eaf48b5bb367adfbf4e18ded9640a9ea6c2a",
     "sat-all.csv": "a1ec8c7b9620011bdb1088f152f9e5763199aabed23c96f68ac6989a263b73f5",
     "sat.csv": "c8dc7f17091291b43fef3f25d2814fb7caee33bfcd29e298942c20dec7a3b86d",
-    "sat.json": "ff5a96ea49337b2b543aaaa434887ffc834f3a3bf203be7e1eba95218e1c282a",
+    "sat.json": "1343f27a80f29cdafa608f8a22f2a93f1b76423e4ec3fe70bd40e73457a5db64",
     "trace.json": "edfd39e738867fc608859282e4d7fc93a9cad1c51b0c7d9e5ed8dfaaee55ddb6",
 }
 
