@@ -653,9 +653,9 @@ def test_well_formed_traces_replay_clean(tmp_path, triangle_csp):
     ("star", "t", "1"), ("star", "u", True), ("star", "v", "2"),
     ("sat", "iterations", [1]), ("sat", "independent_set", 5),
     ("sat", "hypergraph", [1]), ("sat", "n_bound", "3"), ("sat", "deg_mode", 1),
-    ("sat", "deg_mode", "greedy"),
     ("sat", "container", ["a"]), ("sat", "selected", [0.5]), ("sat", "t", "1"),
     ("sat", "degenerate", 0), ("sat", "levels", [1]), ("sat", "exclusions", "x"),
+    ("sat", "deg_mode", "greedy"),
 ])
 def test_malformed_trace_field_is_usage_error(tmp_path, capsys, triangle_csp,
                                               kind, field, value):
