@@ -51,15 +51,16 @@ from .testers import (
     SatTesterParams,
     StarTesterParams,
     TesterReport,
+    TesterSpec,
     canonical_is_tester,
     canonical_sat_tester,
     colorability_to_sat,
+    run_tester,
     shpp_to_sat,
     star_tester,
 )
+from .serialize import FarCertificate
 from .generators import (
-    FarCertificate,
-    TesterSpec,
     certify_far,
     estimate_acceptance,
     gen_er_graph,
@@ -67,6 +68,5 @@ from .generators import (
     gen_planted_sat_csp,
     gen_random_csp,
     gen_random_hypergraph,
-    run_tester,
     wilson_interval,
 )

@@ -3,7 +3,8 @@
 Exit-code contract: 0 on success, 1 when a verifier finds a counterexample
 (the record is serialized before exiting), 2 on usage, validation, corpus
 layout, path or work-cap errors, including a worker count (--workers or
-CONTAINER_BENCH_WORKERS) that is not a positive integer, and 3 on any other
+CONTAINER_BENCH_WORKERS) that is not a positive integer and a trial count
+below 1 (test and estimate alike), and 3 on any other
 exception (an internal error, here or in a worker), as one "error:" line.
 CI can therefore tell "bound falsified" apart from "tool misuse".
 
@@ -22,6 +23,11 @@ Corpus sweep: gcl-sat, gcl-star, closure --corpus and container-degree run
 one check per corpus entry through _sweep.  A check returns a summary or a
 counterexample; the first counterexample in corpus order wins, whatever the
 number of workers, and a serial sweep stops there.
+
+Testers: test and estimate build a TesterSpec from their options and run it
+through generators.trial_reports, so trial i of either verb uses the same
+seed; estimate fans its trial blocks, and the sweeps their entries, across
+generators.parallel_map, the one worker pool.
 """
 
 from __future__ import annotations
@@ -32,7 +38,6 @@ import io
 import json
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 from functools import partial
 from pathlib import Path
@@ -69,8 +74,8 @@ from .generators import (
     gen_planted_sat_csp,
     gen_random_csp,
     gen_random_hypergraph,
-    instance_digest,
-    run_tester,
+    parallel_map,
+    trial_reports,
 )
 from .rationals import (
     RationalParseError,
@@ -242,11 +247,10 @@ def _certified_entries(corpus: str, kind: str) -> list[tuple]:
             raise ValueError(f"corpus entry {name}: certificate.json: {exc}") from None
     _named([name for name, _inst, cert in entries if cert.kind != kind],
            f"certificate kind is not {kind!r}")
-    to_dict = serialize.csp_to_dict if kind == "csp" else serialize.graph_to_dict
     entries = [(name, _instance_from_dict(inst, kind), cert)
                for name, inst, cert in entries]
     _named([name for name, instance, cert in entries
-            if cert.instance_hash != instance_digest(to_dict(instance))],
+            if cert.instance_hash != serialize.instance_hash(instance)],
            "certificate instance_hash does not match instance.json")
     return entries
 
@@ -376,21 +380,12 @@ def _cmd_containers_star(args) -> int:
 # ---------------------------------------------------------------- verifiers
 
 
-def _parallel_map(fn, items: list, workers: int):
-    """fn over items, in order.  Serially it is lazy (a sweep stops at its first
-    counterexample) and empties items as it goes (one entry's memos at a time)."""
-    if workers <= 1 or len(items) < 2:
-        return map(fn, (items.pop(0) for _ in range(len(items))))
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
-
-
 def _sweep(args, verifier: str, check, entries: list, workers: int = 1) -> int:
     """Run check over the corpus entries; the first counterexample in corpus
     order wins.  check(entry) is a picklable top-level function returning
     (summary, None) or (None, counterexample)."""
     summaries = []
-    for summary, counterexample in _parallel_map(check, entries, workers):
+    for summary, counterexample in parallel_map(check, entries, workers):
         if counterexample is not None:
             raise CounterexampleFound({"verifier": verifier, **counterexample})
         summaries.append(summary)
@@ -658,11 +653,10 @@ def _tester_spec_from_args(args) -> tuple[TesterSpec, object]:
 
 
 def _cmd_test(args) -> int:
+    if args.trials < 1:
+        raise ValueError("trials must be at least 1")
     spec, instance = _tester_spec_from_args(args)
-    reports = []
-    for i in range(args.trials):
-        seed = substream_seed(args.seed, i)
-        reports.append((i, run_tester(spec, instance, seed)))
+    reports = list(trial_reports(spec, instance, args.seed, range(args.trials)))
     if args.format == "json":
         payload = {"tester": spec.kind,
                    "reports": [{**serialize.report_to_dict(r), "trial": i}

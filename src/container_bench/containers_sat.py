@@ -214,6 +214,8 @@ class _GeneratorMemo:
 def deg_leq_n(h: Hypergraph, container, n_bound: int, v: int,
               cap: int = DEFAULT_RELEVANT_CAP) -> DegLeqNResult:
     """Exact max degree of v over (<=n_bound)-subsets of the container."""
+    if n_bound < 1:
+        raise ValueError(f"subgraph bound {n_bound} must be at least 1")
     c_mask = as_mask(container, h.n)
     if not (c_mask >> v) & 1:
         raise ValueError(f"vertex {v} is not in the container")

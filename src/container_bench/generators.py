@@ -1,4 +1,4 @@
-"""Instance generation and exact farness certification.
+"""Instance generation, exact farness certification and tester trials.
 
 Every generator is a pure function of its seed: the variate draw order is
 fixed (scopes and pairs in lexicographic order), so outputs are byte-identical
@@ -8,13 +8,17 @@ is stored beside the instance.  Verifiers do not trust it: every verify verb
 that reads a certificate recomputes the exact distance and checks the
 certified epsilon against it, and that recomputation is what makes a verdict
 sound.
+
+parallel_map is the package's one worker pool: the CLI's corpus sweeps and
+estimate_acceptance's trial blocks both go through it.  Trial i of a tester
+run always uses substream i of the master seed (trial_reports), so results do
+not depend on the worker count.  TesterSpec and run_tester (from testers) and
+FarCertificate (from serialize) are bound here too.
 """
 
 from __future__ import annotations
 
-import hashlib
 import itertools
-import json
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -22,20 +26,12 @@ from fractions import Fraction
 from typing import Optional
 
 from .core import Graph, Hypergraph
-from .csp import Csp, SatDistance, distance_to_sat
-from .containers_star import RhoDistance, distance_to_rho_is
+from .csp import Csp, distance_to_sat
+from .containers_star import distance_to_rho_is
 from .rationals import ceil_frac, format_rational
 from .rng import GENERATOR_NAME, make_rng, substream_seed
-from .testers import (
-    SatTesterParams,
-    StarTesterParams,
-    TesterReport,
-    canonical_is_tester,
-    canonical_sat_tester,
-    colorability_to_sat,
-    shpp_to_sat,
-    star_tester,
-)
+from .serialize import FarCertificate, instance_hash
+from .testers import TesterSpec, run_tester
 
 WILSON_Z = 1.959963984540054  # two-sided 95%
 
@@ -128,61 +124,29 @@ def gen_random_hypergraph(n: int, q: int, edge_density: Fraction, seed: int,
     return Hypergraph.from_edges(q, n, edges, labels)
 
 
-def instance_digest(payload: dict) -> str:
-    canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canonical.encode()).hexdigest()
-
-
-@dataclass(frozen=True)
-class FarCertificate:
-    """Exact farness certificate; re-running the oracle reproduces it."""
-
-    kind: str  # "csp" | "graph"
-    instance_hash: str
-    epsilon: Fraction
-    achieved: Fraction
-    min_edits: int
-    witness: tuple[int, ...]
-    params: dict
-
-
 def certify_far(instance, epsilon: Fraction, rho: Optional[Fraction] = None,
                 cap: Optional[int] = None) -> Optional[FarCertificate]:
     """Wrap the exact distance oracles; a certificate exists iff the distance
     is at least epsilon.  Returns None when the instance is not that far."""
-    from . import serialize  # deferred: serialize imports this module's types
-
     epsilon = Fraction(epsilon)
+    caps = {"cap": cap} if cap else {}
     if isinstance(instance, Csp):
-        dist = distance_to_sat(instance, **({"cap": cap} if cap else {}))
-        if not dist.is_far(epsilon):
-            return None
-        return FarCertificate(
-            kind="csp",
-            instance_hash=instance_digest(serialize.csp_to_dict(instance)),
-            epsilon=epsilon,
-            achieved=dist.distance,
-            min_edits=dist.min_falsified,
-            witness=dist.witness,
-            params={"oracle": "distance_to_sat"},
-        )
-    if isinstance(instance, Graph):
+        kind, dist = "csp", distance_to_sat(instance, **caps)
+        min_edits, params = dist.min_falsified, {"oracle": "distance_to_sat"}
+    elif isinstance(instance, Graph):
         if rho is None:
             raise ValueError("graph certification requires rho")
         rho = Fraction(rho)
-        dist = distance_to_rho_is(instance, rho, **({"cap": cap} if cap else {}))
-        if not dist.is_far(epsilon):
-            return None
-        return FarCertificate(
-            kind="graph",
-            instance_hash=instance_digest(serialize.graph_to_dict(instance)),
-            epsilon=epsilon,
-            achieved=dist.distance,
-            min_edits=dist.min_edits,
-            witness=dist.witness,
-            params={"oracle": "distance_to_rho_is", "rho": format_rational(rho)},
-        )
-    raise TypeError(f"cannot certify {type(instance).__name__}")
+        kind, dist = "graph", distance_to_rho_is(instance, rho, **caps)
+        min_edits = dist.min_edits
+        params = {"oracle": "distance_to_rho_is", "rho": format_rational(rho)}
+    else:
+        raise TypeError(f"cannot certify {type(instance).__name__}")
+    if not dist.is_far(epsilon):
+        return None
+    return FarCertificate(kind=kind, instance_hash=instance_hash(instance),
+                          epsilon=epsilon, achieved=dist.distance,
+                          min_edits=min_edits, witness=dist.witness, params=params)
 
 
 def wilson_interval(successes: int, trials: int,
@@ -200,63 +164,26 @@ def wilson_interval(successes: int, trials: int,
     return low, high
 
 
-@dataclass(frozen=True)
-class TesterSpec:
-    """Names a tester plus its resolved options, for trial harnesses."""
+def parallel_map(fn, items: list, workers: int):
+    """fn over items, in order.  Serially it is lazy (a sweep stops at its first
+    counterexample) and empties items as it goes (one entry's memos at a time)."""
+    if workers <= 1 or len(items) < 2:
+        return map(fn, (items.pop(0) for _ in range(len(items))))
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(fn, items))
 
-    __test__ = False  # not a pytest class, despite the name
 
-    kind: str  # sat | color | shpp | indepset | canonical-is
-    options: dict
-
-
-def run_tester(spec: TesterSpec, instance, seed: int) -> TesterReport:
-    opts = spec.options
-    rng = make_rng(seed)
-    if spec.kind == "sat":
-        params = SatTesterParams(Fraction(opts["epsilon"]),
-                                 opts.get("s"), Fraction(opts.get("c", 1)))
-        return canonical_sat_tester(instance, params, rng, seed)
-    if spec.kind == "color":
-        csp = colorability_to_sat(instance, opts["k"])
-        params = SatTesterParams(Fraction(opts["epsilon"]),
-                                 opts.get("s"), Fraction(opts.get("c", 1)))
-        report = canonical_sat_tester(csp, params, rng, seed)
-        return TesterReport(kind="color", verdict=report.verdict, seed=seed,
-                            generator=report.generator,
-                            params={**report.params, "k": opts["k"]},
-                            sample=report.sample, query_count=None)
-    if spec.kind == "shpp":
-        csp = shpp_to_sat(instance, opts["spec"])
-        params = SatTesterParams(Fraction(opts["epsilon"]),
-                                 opts.get("s"), Fraction(opts.get("c", 1)))
-        report = canonical_sat_tester(csp, params, rng, seed)
-        return TesterReport(kind="shpp", verdict=report.verdict, seed=seed,
-                            generator=report.generator,
-                            params={**report.params, "k": opts["spec"].k},
-                            sample=report.sample, query_count=None)
-    if spec.kind == "indepset":
-        params = StarTesterParams(
-            rho=Fraction(opts["rho"]), epsilon=Fraction(opts["epsilon"]),
-            r=opts.get("r"), s=opts.get("s"),
-            c1=Fraction(opts.get("c1", 1)), c2=Fraction(opts.get("c2", 1)),
-            disjoint=bool(opts.get("disjoint", False)),
-        )
-        return star_tester(instance, params, rng, seed)
-    if spec.kind == "canonical-is":
-        return canonical_is_tester(instance, Fraction(opts["rho"]),
-                                   opts["s"], rng, seed)
-    raise ValueError(f"unknown tester kind {spec.kind!r}")
+def trial_reports(spec: TesterSpec, instance, master_seed: int, trials: range):
+    """(trial, report) for each trial, lazily; trial i is seeded by substream
+    i of the master seed."""
+    for i in trials:
+        yield i, run_tester(spec, instance, substream_seed(master_seed, i))
 
 
 def _trial_block(args) -> list[tuple[int, int, str, Optional[int]]]:
-    spec, instance, master_seed, lo, hi = args
-    rows = []
-    for i in range(lo, hi):
-        seed = substream_seed(master_seed, i)
-        report = run_tester(spec, instance, seed)
-        rows.append((i, seed, report.verdict, report.query_count))
-    return rows
+    spec, instance, master_seed, trials = args
+    return [(i, report.seed, report.verdict, report.query_count)
+            for i, report in trial_reports(spec, instance, master_seed, trials)]
 
 
 @dataclass(frozen=True)
@@ -277,16 +204,12 @@ def estimate_acceptance(spec: TesterSpec, instance, trials: int,
     are invariant to the worker count."""
     if trials < 1:
         raise ValueError("trials must be at least 1")
-    if workers > 1 and trials >= 4 * workers:
-        chunk = -(-trials // workers)
-        blocks = [(spec, instance, master_seed, lo, min(lo + chunk, trials))
-                  for lo in range(0, trials, chunk)]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_trial_block, blocks))
-        rows = [row for block in results for row in block]
-    else:
-        rows = _trial_block((spec, instance, master_seed, 0, trials))
-    rows.sort(key=lambda row: row[0])
+    # One block per worker, or a single serial block for a short run.
+    chunk = -(-trials // workers) if workers > 1 and trials >= 4 * workers else trials
+    blocks = [(spec, instance, master_seed, range(lo, min(lo + chunk, trials)))
+              for lo in range(0, trials, chunk)]
+    rows = [row for block in parallel_map(_trial_block, blocks, workers)
+            for row in block]
     accepts = sum(1 for row in rows if row[2] == "accept")
     low, high = wilson_interval(accepts, trials)
     return EstimateResult(accepts, trials, accepts / trials, low, high,

@@ -8,6 +8,10 @@ Instance formats (bit-exact round trip, canonical key order and edge order):
               "constraints": [{"scope": [...], "falsifying": [[...], ...]}]}
   shpp spec  {"k": int, "lower": [[0|1, ...], ...], "upper": [[0|1, ...], ...]}
 
+A farness certificate is bound to its instance by instance_hash: the sha256 of
+the instance's compact canonical JSON (sorted keys, no whitespace).  certify
+writes it and the certified verify verbs check it, both through this module.
+
 Rationals are serialized as exact "p/q" strings everywhere.  Every reader
 (instances, traces, certificates, the shpp spec) rejects a field of the wrong
 JSON type (a bool is not an integer) with a ValueError; the graph reader also
@@ -17,13 +21,15 @@ other than "exact".
 
 from __future__ import annotations
 
+import hashlib
 import json
+from dataclasses import dataclass
+from fractions import Fraction
 
 from .core import Graph, Hypergraph, bits_of
 from .csp import Constraint, Csp
 from .containers_sat import ContainerTrace, LevelRecord, SatIteration
 from .containers_star import StarContainerTrace, StarIteration
-from .generators import FarCertificate
 from .rationals import format_rational, parse_rational
 from .testers import SHPPSpec, TesterReport
 
@@ -216,6 +222,26 @@ def star_trace_from_dict(data: dict) -> StarContainerTrace:
         _int_tuple(data["independent_set"], "trace independent_set"),
         tuple(iterations),
     )
+
+
+@dataclass(frozen=True)
+class FarCertificate:
+    """Exact farness certificate; re-running the oracle reproduces it."""
+
+    kind: str  # "csp" | "graph"
+    instance_hash: str
+    epsilon: Fraction
+    achieved: Fraction
+    min_edits: int
+    witness: tuple[int, ...]
+    params: dict
+
+
+def instance_hash(instance: "Csp | Graph") -> str:
+    """The hash a certificate binds its CSP or graph instance with."""
+    payload = csp_to_dict(instance) if isinstance(instance, Csp) else graph_to_dict(instance)
+    canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(canonical.encode()).hexdigest()
 
 
 def certificate_to_dict(cert: FarCertificate) -> dict:

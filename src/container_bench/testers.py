@@ -2,6 +2,11 @@
 testing via reduction to satisfiability, the two-sample independent-set-star
 tester, and the canonical independent-set baseline.
 
+run_tester is the one dispatch over tester kinds.  The sat, color and shpp
+kinds share one path: reduce to satisfiability (none, colorability_to_sat or
+shpp_to_sat), run canonical_sat_tester, and for color and shpp relabel the
+report with the kind and the reduction's k.
+
 Every tester run is a pure function of (instance, params, seed); reports echo
 the resolved parameters, the generator name, and exact query accounting.
 Graph testers touch the graph only through a counting adapter that
@@ -12,7 +17,7 @@ counts.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Optional
 
@@ -21,7 +26,7 @@ import numpy as np
 from .core import Graph, Hypergraph, WorkCapExceeded, bits_of, comb_exceeds, mask_of
 from .csp import Csp, is_satisfiable, restrict
 from .rationals import ceil_frac, sign_with_ln
-from .rng import GENERATOR_NAME, sample_without_replacement
+from .rng import GENERATOR_NAME, make_rng, sample_without_replacement
 
 DEFAULT_SEARCH_CAP = 10_000_000
 
@@ -46,12 +51,22 @@ class SatTesterParams:
         else:
             lead = self.c * k * q**3 / self.epsilon
             x = k * q / self.epsilon
-            # Least integer s with s - lead * ln(x)^2 >= 0.
-            s = math.ceil(float(lead) * math.log(x) ** 2)
-            while sign_with_ln(Fraction(s - 1), 0, -lead, x) >= 0:
+            try:
+                estimate = math.ceil(float(lead) * math.log(x) ** 2)
+            except OverflowError:
+                raise ValueError("the derived sample size overflows a float; "
+                                 "give s, or a smaller c or 1/epsilon") from None
+            # Least integer s with s - lead * ln(x)^2 >= 0, stepped to from the
+            # estimate.  Only [1, n] is usable, so the steps stay in [0, n + 1]
+            # however far off a huge estimate is.
+            s = min(max(estimate, 0), n + 1)
+            while s > 0 and sign_with_ln(Fraction(s - 1), 0, -lead, x) >= 0:
                 s -= 1
-            while sign_with_ln(Fraction(s), 0, -lead, x) < 0:
+            while s <= n and sign_with_ln(Fraction(s), 0, -lead, x) < 0:
                 s += 1
+            if not 1 <= s <= n:
+                raise ValueError(f"derived sample size (about {estimate:.3g}) "
+                                 f"must lie in [1, n={n}]")
         if not 1 <= s <= n:
             raise ValueError(f"sample size {s} must lie in [1, n={n}]")
         return s
@@ -74,14 +89,17 @@ class StarTesterParams:
     disjoint: bool = False
 
     def resolve(self, n: int) -> tuple[int, int]:
-        eps = float(self.epsilon)
-        rho = float(self.rho)
-        r = self.r
-        if r is None:
-            r = math.ceil(float(self.c1) * rho**2 / eps**1.5 * math.log(1 / eps) ** 2)
-        s = self.s
-        if s is None:
-            s = math.ceil(float(self.c2) * rho**3 / eps**2 * math.log(1 / eps) ** 3)
+        r, s = self.r, self.s
+        try:
+            eps = float(self.epsilon)
+            rho = float(self.rho)
+            if r is None:
+                r = math.ceil(float(self.c1) * rho**2 / eps**1.5 * math.log(1 / eps) ** 2)
+            if s is None:
+                s = math.ceil(float(self.c2) * rho**3 / eps**2 * math.log(1 / eps) ** 3)
+        except (OverflowError, ZeroDivisionError):
+            raise ValueError("the derived sample sizes overflow a float; "
+                             "give r and s, or smaller c1, c2 or 1/epsilon") from None
         if not 1 <= r <= s <= n:
             raise ValueError(f"need 1 <= r <= s <= n, got r={r}, s={s}, n={n}")
         return r, s
@@ -380,3 +398,44 @@ def canonical_is_tester(graph: Graph, rho: Fraction, sample_size: int,
         sample=sample,
         query_count=counted.query_count,
     )
+
+
+@dataclass(frozen=True)
+class TesterSpec:
+    """Names a tester plus its resolved options, for trial harnesses."""
+
+    __test__ = False  # not a pytest class, despite the name
+
+    kind: str  # sat | color | shpp | indepset | canonical-is
+    options: dict
+
+
+def run_tester(spec: TesterSpec, instance, seed: int) -> TesterReport:
+    """One run of the named tester on the instance, seeded by seed."""
+    opts = spec.options
+    rng = make_rng(seed)
+    if spec.kind == "indepset":
+        params = StarTesterParams(
+            rho=Fraction(opts["rho"]), epsilon=Fraction(opts["epsilon"]),
+            r=opts.get("r"), s=opts.get("s"),
+            c1=Fraction(opts.get("c1", 1)), c2=Fraction(opts.get("c2", 1)),
+            disjoint=bool(opts.get("disjoint", False)),
+        )
+        return star_tester(instance, params, rng, seed)
+    if spec.kind == "canonical-is":
+        return canonical_is_tester(instance, Fraction(opts["rho"]),
+                                   opts["s"], rng, seed)
+    if spec.kind == "sat":
+        csp = instance
+    elif spec.kind == "color":
+        csp = colorability_to_sat(instance, opts["k"])
+    elif spec.kind == "shpp":
+        csp = shpp_to_sat(instance, opts["spec"])
+    else:
+        raise ValueError(f"unknown tester kind {spec.kind!r}")
+    params = SatTesterParams(Fraction(opts["epsilon"]), opts.get("s"),
+                             Fraction(opts.get("c", 1)))
+    report = canonical_sat_tester(csp, params, rng, seed)
+    if spec.kind == "sat":
+        return report
+    return replace(report, kind=spec.kind, params={**report.params, "k": csp.k})

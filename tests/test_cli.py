@@ -455,6 +455,20 @@ def test_estimate_misuse_exits_2_as_test_does(tmp_path, capsys, workers):
             assert "internal" not in err
 
 
+@pytest.mark.parametrize("trials", ["0", "-5"])
+def test_fewer_than_one_trial_exits_2_in_test_and_estimate(tmp_path, capsys, trials):
+    csp = tmp_path / "csp.json"
+    assert run_cli("gen-csp", "--n", "5", "--k", "2", "--q", "2", "--seed", "1",
+                   "--out", str(csp)) == 0
+    capsys.readouterr()
+    for verb, extra in (("test", ()), ("estimate", ("--workers", "1"))):
+        assert run_cli(verb, "sat", "--csp", str(csp), "--epsilon", "1/4",
+                       "--s", "3", "--seed", "3", "--trials", trials, *extra,
+                       "--out", str(tmp_path / "r")) == 2
+        assert capsys.readouterr().err == "error: trials must be at least 1\n"
+    assert not list(tmp_path.glob("r*"))
+
+
 def test_directory_as_input_or_output_path_is_usage_error(tmp_path, capsys,
                                                           triangle_csp_file):
     for argv in (["certify", "--graph", str(tmp_path), "--epsilon", "1/4"],
@@ -809,5 +823,110 @@ def test_graph_reading_verbs_exit_0_or_2_on_mutated_input(verb, document, rho, e
                 code = exc.code
     err = err.getvalue()
     assert code in (0, 2), (code, err)
+    assert sum("error:" in line for line in err.splitlines()) <= 1, err
+    assert "Traceback" not in err
+
+
+# --------------------------------------------------------- tester-verb fuzz
+
+_FUZZ_SPEC = {"k": 2, "lower": [[0, 0], [0, 0]], "upper": [[0, 1], [1, 0]]}
+_FUZZ_CSP = {"n": 6, "k": 2, "q": 2, "constraints": [
+    {"scope": [a, b], "falsifying": [[0, 0], [1, 1]]}
+    for a, b in ((0, 1), (1, 2), (0, 2), (3, 4), (4, 5))]}
+_FUZZ_HYPERGRAPH = {"q": 3, "n": 7, "labels": None,
+                    "edges": [[0, 1, 2], [0, 3, 4], [1, 3, 5], [2, 4, 6], [2, 5, 6]]}
+_matrices = st.lists(st.lists(st.integers(-1, 2), max_size=3), max_size=3)
+
+
+@st.composite
+def _spec_documents(draw) -> str:
+    if draw(st.integers(0, 9)) == 0:
+        return json.dumps(draw(_json_values))
+    doc = dict(_FUZZ_SPEC)
+    if draw(st.booleans()):
+        doc["k"] = draw(st.one_of(st.integers(-2, 4), _json_values))
+    for key in ("lower", "upper"):
+        if draw(st.booleans()):
+            doc[key] = draw(st.one_of(_matrices, _json_values))
+    for key in draw(st.sets(st.sampled_from(sorted(doc)), max_size=2)):
+        del doc[key]
+    text = json.dumps(doc)
+    return text[:draw(st.integers(0, len(text)))] if draw(st.booleans()) else text
+
+
+def _mostly(good):
+    """good values, and one time in five a mutated rational or a junk string."""
+    bad = st.one_of(_rationals, st.sampled_from(["", "x", "1.5", "1e3", " 3", "-1"]))
+    return st.integers(0, 4).flatmap(lambda i: bad if i == 4 else good)
+
+
+def _fractions(num: int, den: int):
+    return st.builds("{}/{}".format, st.integers(1, num), st.integers(1, den))
+
+
+# Derived sample sizes take floats of these, so reach past the float range.
+_powers_of_ten = st.integers(1, 400).map(lambda d: "1" + "0" * d)
+_constants = st.one_of(_fractions(9, 9), _powers_of_ten)
+_TESTER_OPTIONS = {
+    "--epsilon": _mostly(st.one_of(st.integers(2, 64).map("1/{}".format),
+                                   _powers_of_ten.map("1/{}".format))),
+    "--rho": _mostly(st.sampled_from(["1/2", "1/3", "2/3", "1/4", "1"])),
+    "--c": _mostly(_constants), "--c1": _mostly(_constants),
+    "--c2": _mostly(_constants), "--s": _mostly(st.integers(0, 14).map(str)),
+    "--r": _mostly(st.integers(0, 8).map(str)), "--k": _mostly(st.integers(0, 50).map(str)),
+    "--trials": _mostly(st.integers(0, 20).map(str)),
+    "--seed": _mostly(st.integers(0, 2**70).map(str)),
+    "--disjoint-samples": st.just(None), "--format": st.sampled_from(["json", "csv"]),
+}
+_SAT_OPTIONS = ("--s", "--c", "--trials", "--format")
+# Each kind's input files, its required options, then the optional ones.
+_TESTER_ARGS = {
+    "sat": (("--csp",), ("--epsilon",), _SAT_OPTIONS),
+    "color": (("--hypergraph",), ("--epsilon", "--k"), _SAT_OPTIONS),
+    "shpp": (("--graph", "--spec"), ("--epsilon",), _SAT_OPTIONS),
+    "indepset": (("--graph",), ("--rho", "--epsilon"),
+                 ("--s", "--r", "--c1", "--c2", "--disjoint-samples", "--trials",
+                  "--format")),
+    "canonical-is": (("--graph",), ("--rho",), ("--s", "--epsilon", "--trials",
+                                                 "--format")),
+}
+
+
+@settings(max_examples=300, deadline=None)
+@given(verb=st.sampled_from(["test", "estimate"]),
+       kind=st.sampled_from(sorted(_TESTER_ARGS)), spec=_spec_documents(),
+       data=st.data())
+def test_tester_verbs_exit_0_or_2_on_mutated_input(verb, kind, spec, data):
+    """Option values are drawn small (at most 20 trials, k at most 50): the
+    colorability reduction builds k tuples per edge before any cap is read.
+    Each optional option is left out one time in four."""
+    import contextlib
+    import io
+    import tempfile
+
+    inputs, required, optional = _TESTER_ARGS[kind]
+    flags = [*required, "--seed",
+             *(flag for flag in optional if data.draw(st.integers(0, 3)) < 3)]
+    options = {flag: data.draw(_TESTER_OPTIONS[flag], label=flag) for flag in flags}
+    with tempfile.TemporaryDirectory() as tmp:
+        files = {"--csp": _FUZZ_CSP, "--hypergraph": _FUZZ_HYPERGRAPH,
+                 "--graph": _FUZZ_GRAPH}
+        argv = [verb, kind]
+        for flag in inputs:
+            path = Path(tmp) / flag.lstrip("-")
+            path.write_text(spec if flag == "--spec" else json.dumps(files[flag]))
+            argv += [flag, str(path)]
+        for flag, value in options.items():
+            argv.append(flag if value is None else f"{flag}={value}")
+        argv += ["--workers", "1"] if verb == "estimate" else []
+        argv += ["--out", str(Path(tmp) / "r")]
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()) as err:
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # argparse rejects the command line
+                code = exc.code
+    err = err.getvalue()
+    assert code in (0, 2), (code, argv, err)
     assert sum("error:" in line for line in err.splitlines()) <= 1, err
     assert "Traceback" not in err

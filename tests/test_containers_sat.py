@@ -70,6 +70,16 @@ def test_deg_requires_membership():
         deg_leq_n(h, (0, 1), 2, 2)
 
 
+@pytest.mark.parametrize("n_bound", [0, -2])
+def test_deg_rejects_a_bound_below_one(n_bound):
+    """A bound below 1 has no subset holding v: no negative value, no witness
+    larger than the bound."""
+    h = Hypergraph.from_edges(2, 3, [(0, 1), (0, 2)])
+    with pytest.raises(ValueError, match="at least 1"):
+        deg_leq_n(h, range(3), n_bound, 0)
+    assert deg_leq_n(h, range(3), 1, 0).value == 0
+
+
 def test_deg_relevant_cap():
     edges = [(0, i, j) for i in range(1, 6) for j in range(i + 1, 7)]
     h = Hypergraph.from_edges(3, 7, edges)

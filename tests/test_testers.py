@@ -113,6 +113,16 @@ def test_sat_params_derived_s_is_exact_at_a_boundary():
         assert float(c) * 2 * 8 / float(eps) * math.log(16) ** 2 == pytest.approx(1000, abs=1e-9)
 
 
+@pytest.mark.parametrize("c, eps", [
+    (10**20, Fraction(1, 4)), (-10**200, Fraction(1, 4)), (10**400, Fraction(1, 4)),
+    (1, Fraction(1, 10**300)), (1, Fraction(1, 10**400))])
+def test_sat_params_far_out_of_range_fail_fast(c, eps):
+    """A derived s far beyond n, or beyond the float range, is a ValueError
+    at once: stepping from the estimate stays within [0, n + 1]."""
+    with pytest.raises(ValueError, match="derived sample size"):
+        SatTesterParams(eps, c=Fraction(c)).resolve_s(6, 2, 2)
+
+
 def test_sat_tester_report_fields(triangle_csp):
     report = canonical_sat_tester(triangle_csp,
                                   SatTesterParams(Fraction(1, 3), s=2),
@@ -276,6 +286,10 @@ def test_star_params_validation():
     eps = 1 / 8
     assert derived[0] == math.ceil(0.25 / eps**1.5 * math.log(1 / eps) ** 2)
     assert derived[1] == math.ceil(0.125 / eps**2 * math.log(1 / eps) ** 3)
+    for params in (StarTesterParams(Fraction(1, 2), Fraction(1, 4), c1=Fraction(10**400)),
+                   StarTesterParams(Fraction(1, 2), Fraction(1, 10**400))):
+        with pytest.raises(ValueError, match="overflow"):
+            params.resolve(10)
 
 
 # ------------------------------------------------------------- canonical IS
