@@ -24,10 +24,9 @@ one check per corpus entry through _sweep.  A check returns a summary or a
 counterexample; the first counterexample in corpus order wins, whatever the
 number of workers, and a serial sweep stops there.
 
-Testers: test and estimate build a TesterSpec from their options and run it
-through generators.trial_reports, so trial i of either verb uses the same
-seed; estimate fans its trial blocks, and the sweeps their entries, across
-generators.parallel_map, the one worker pool.
+Testers: test and estimate run one TesterSpec through generators.trial_reports,
+so trial i of either verb gets the same seed.  estimate's trial blocks and the
+sweeps' entries fan out over generators.parallel_map, the one worker pool.
 """
 
 from __future__ import annotations
@@ -626,29 +625,22 @@ def _cmd_verify_shrinking(args) -> int:
 
 def _tester_spec_from_args(args) -> tuple[TesterSpec, object]:
     kind = args.tester
-    if kind == "sat":
-        instance = _load(args.csp, "csp")
-        options = {"epsilon": args.epsilon, "s": args.s, "c": args.c}
-    elif kind == "color":
-        instance = _load(args.hypergraph, "hypergraph")
-        options = {"epsilon": args.epsilon, "s": args.s, "c": args.c,
-                   "k": args.k}
-    elif kind == "shpp":
-        instance = _load(args.graph, "graph")
-        options = {"epsilon": args.epsilon, "s": args.s, "c": args.c,
-                   "spec": serialize.shpp_spec_from_dict(_load_json(args.spec))}
-    elif kind == "indepset":
-        instance = _load(args.graph, "graph")
+    source = {"sat": "csp", "color": "hypergraph"}.get(kind, "graph")
+    instance = _load(getattr(args, source), source)
+    if kind == "indepset":
         options = {"rho": args.rho, "epsilon": args.epsilon, "r": args.r,
                    "s": args.s, "c1": args.c1, "c2": args.c2,
                    "disjoint": args.disjoint_samples}
     elif kind == "canonical-is":
-        instance = _load(args.graph, "graph")
         if args.s is None:
             raise ValueError("canonical-is requires --s")
         options = {"rho": args.rho, "s": args.s}
-    else:  # pragma: no cover
-        raise ValueError(kind)
+    else:  # sat, color and shpp: run_tester reduces the last two to sat
+        options = {"epsilon": args.epsilon, "s": args.s, "c": args.c}
+        if kind == "color":
+            options["k"] = args.k
+        if kind == "shpp":
+            options["spec"] = serialize.shpp_spec_from_dict(_load_json(args.spec))
     return TesterSpec(kind, options), instance
 
 

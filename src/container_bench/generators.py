@@ -9,11 +9,9 @@ that reads a certificate recomputes the exact distance and checks the
 certified epsilon against it, and that recomputation is what makes a verdict
 sound.
 
-parallel_map is the package's one worker pool: the CLI's corpus sweeps and
-estimate_acceptance's trial blocks both go through it.  Trial i of a tester
-run always uses substream i of the master seed (trial_reports), so results do
-not depend on the worker count.  TesterSpec and run_tester (from testers) and
-FarCertificate (from serialize) are bound here too.
+parallel_map is the package's one worker pool, for the CLI's corpus sweeps and
+estimate_acceptance's trial blocks.  Trial i always runs on substream i of the
+master seed (trial_reports), so no result depends on the worker count.
 """
 
 from __future__ import annotations

@@ -8,9 +8,8 @@ Instance formats (bit-exact round trip, canonical key order and edge order):
               "constraints": [{"scope": [...], "falsifying": [[...], ...]}]}
   shpp spec  {"k": int, "lower": [[0|1, ...], ...], "upper": [[0|1, ...], ...]}
 
-A farness certificate is bound to its instance by instance_hash: the sha256 of
-the instance's compact canonical JSON (sorted keys, no whitespace).  certify
-writes it and the certified verify verbs check it, both through this module.
+A farness certificate binds its instance by instance_hash, the sha256 of the
+instance's compact canonical JSON; certify and the verify verbs both use it.
 
 Rationals are serialized as exact "p/q" strings everywhere.  Every reader
 (instances, traces, certificates, the shpp spec) rejects a field of the wrong

@@ -2,10 +2,9 @@
 testing via reduction to satisfiability, the two-sample independent-set-star
 tester, and the canonical independent-set baseline.
 
-run_tester is the one dispatch over tester kinds.  The sat, color and shpp
-kinds share one path: reduce to satisfiability (none, colorability_to_sat or
-shpp_to_sat), run canonical_sat_tester, and for color and shpp relabel the
-report with the kind and the reduction's k.
+run_tester is the one dispatch over tester kinds.  sat, color and shpp share
+one path: reduce to satisfiability, run canonical_sat_tester, and relabel a
+color or shpp report with its kind and the reduction's k.
 
 Every tester run is a pure function of (instance, params, seed); reports echo
 the resolved parameters, the generator name, and exact query accounting.
@@ -54,11 +53,9 @@ class SatTesterParams:
             try:
                 estimate = math.ceil(float(lead) * math.log(x) ** 2)
             except OverflowError:
-                raise ValueError("the derived sample size overflows a float; "
-                                 "give s, or a smaller c or 1/epsilon") from None
+                raise ValueError("the derived sample size overflows a float") from None
             # Least integer s with s - lead * ln(x)^2 >= 0, stepped to from the
-            # estimate.  Only [1, n] is usable, so the steps stay in [0, n + 1]
-            # however far off a huge estimate is.
+            # estimate within [0, n + 1], all it takes to decide 1 <= s <= n.
             s = min(max(estimate, 0), n + 1)
             while s > 0 and sign_with_ln(Fraction(s - 1), 0, -lead, x) >= 0:
                 s -= 1
@@ -98,8 +95,7 @@ class StarTesterParams:
             if s is None:
                 s = math.ceil(float(self.c2) * rho**3 / eps**2 * math.log(1 / eps) ** 3)
         except (OverflowError, ZeroDivisionError):
-            raise ValueError("the derived sample sizes overflow a float; "
-                             "give r and s, or smaller c1, c2 or 1/epsilon") from None
+            raise ValueError("the derived sample sizes overflow a float") from None
         if not 1 <= r <= s <= n:
             raise ValueError(f"need 1 <= r <= s <= n, got r={r}, s={s}, n={n}")
         return r, s
