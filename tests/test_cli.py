@@ -899,7 +899,7 @@ _TESTER_ARGS = {
 def test_tester_verbs_exit_0_or_2_on_mutated_input(verb, kind, spec, data):
     """Option values are drawn small (at most 20 trials, k at most 50): the
     colorability reduction builds k tuples per edge before any cap is read.
-    Each optional option is left out one time in four."""
+    Each optional flag is left out one time in four."""
     import contextlib
     import io
     import tempfile
