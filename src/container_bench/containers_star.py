@@ -43,7 +43,8 @@ from .core import (
     memo_of,
 )
 from .containers_sat import ClosureOutcome, NotFarError, extended_at
-from .rationals import ceil_frac, floor_frac, floor_times_ln, le_with_ln, sign_with_ln
+from .rationals import (ceil_frac, floor_frac, floor_times_ln, le_with_ln, least_int,
+                        sign_with_ln)
 
 
 def is_star(g: Graph, core, outer) -> tuple[bool, Optional[str]]:
@@ -223,9 +224,9 @@ def distance_to_rho_is(g: Graph, rho: Fraction,
     T of size need keeps at least |N(w) & R| - slack of each member's
     R-neighbours inside T, so 2*e(S + T) >= 2*count + sum over T of 2*f(w):
     a pruned subtree holds no subset with fewer edges than the incumbent,
-    and the witness is the one plain enumeration finds.  The bound is skipped
-    when slack == 0 (a single leaf).  Raises WorkCapExceeded when
-    C(n, target) exceeds cap.
+    and the witness is the one plain enumeration finds.  A node with slack
+    == 0 finishes its single leaf in a loop, not by recursion.  Raises
+    WorkCapExceeded when C(n, target) exceeds cap.
     """
     rho = Fraction(rho)
     if not 0 < rho <= 1:
@@ -253,14 +254,21 @@ def distance_to_rho_is(g: Graph, rho: Fraction,
             best, best_mask = count, chosen
             return
         slack = n - start - need
-        if slack:
-            rest = full >> start << start
-            twice_f = sorted([
-                2 * (a & chosen).bit_count()
-                + (d - slack if (d := (a & rest).bit_count()) > slack else 0)
-                for a in adj[start:]])
-            if 2 * count + sum(twice_f[:need]) >= 2 * best:
-                return
+        if not slack:  # the one leaf takes every vertex left, in a loop
+            for v in range(start, n):
+                count += (adj[v] & chosen).bit_count()
+                chosen |= 1 << v
+                if count >= best:
+                    return
+            best, best_mask = count, chosen
+            return
+        rest = full >> start << start
+        twice_f = sorted([
+            2 * (a & chosen).bit_count()
+            + (d - slack if (d := (a & rest).bit_count()) > slack else 0)
+            for a in adj[start:]])
+        if 2 * count + sum(twice_f[:need]) >= 2 * best:
+            return
         # Children stop where too few vertices are left to finish the subset.
         for v in range(start, start + slack + 1):
             rec(v + 1, chosen | 1 << v, size + 1,
@@ -375,40 +383,9 @@ class GclStarOutcome:
 
 def _bullet_threshold(rho: Fraction, epsilon: Fraction) -> int:
     """Smallest integer t with t >= 4 rho ln(2 rho / eps) / sqrt(eps)."""
-    x = 2 * rho / epsilon
-    est = math.floor(4 * float(rho) * math.log(float(x)) / math.sqrt(float(epsilon)))
-    est = max(est, 0)
     # t >= threshold  <=>  t^2 eps - 16 rho^2 ln(x)^2 >= 0   (t >= 0, x > 1)
-    def at_least(t: int) -> bool:
-        return sign_with_ln(Fraction(t * t) * epsilon, Fraction(0),
-                            -16 * rho * rho, x) >= 0
-    while est > 0 and at_least(est - 1):
-        est -= 1
-    while not at_least(est):
-        est += 1
-    return est
-
-
-def _max_container_size(n: int, rho: Fraction, epsilon: Fraction, t: int) -> int:
-    """Largest size s <= n with s <= (rho - t eps / (8 rho L)) n, L = ln(2 rho / eps),
-    or -1 if there is none.  The bound is monotone in s, so a float estimate
-    is corrected with the guarded comparator, as in floor_times_ln."""
-    x = 2 * rho / epsilon
-
-    def fits(size: int) -> bool:
-        # size <= (rho - t eps / (8 rho L)) n  <=>  L >= t eps n / (8 rho (rho n - size))
-        gap = rho * n - size
-        if gap <= 0:
-            return False
-        return le_with_ln(t * epsilon * n / (8 * rho * gap), Fraction(1), x)
-
-    est = (float(rho) - t * float(epsilon) / (8 * float(rho) * math.log(x))) * n
-    est = min(max(math.floor(est), -1), n)
-    while est >= 0 and not fits(est):
-        est -= 1
-    while est < n and fits(est + 1):
-        est += 1
-    return est
+    return least_int(lambda t: sign_with_ln(
+        (t * t * epsilon, 0, -16 * rho * rho), 2 * rho / epsilon) >= 0, 0)
 
 
 @dataclass(frozen=True)
@@ -435,13 +412,22 @@ class StarBounds:
             raise ValueError("rho must lie in (0, 1]")
         if not 0 < epsilon < 2 * rho:
             raise ValueError("epsilon must lie in (0, 2*rho) for the bound to make sense")
-        t_max = floor_times_ln(8 * rho * rho / epsilon, 2 * rho / epsilon)
+        x = 2 * rho / epsilon
+        t_max = floor_times_ln(8 * rho * rho / epsilon, x)
         threshold = _bullet_threshold(rho, epsilon)
         ts = list(range(1, min(n + 1, t_max) + 1))
-        if threshold <= t_max:
+        if len(ts) < threshold <= t_max:
             ts.append(threshold)
-        return cls(n, rho, epsilon, t_max, threshold,
-                   {t: _max_container_size(n, rho, epsilon, t) for t in ts},
+        # size <= (rho - t eps / (8 rho L)) n  <=>  L >= t eps n / (8 rho (rho n - size))
+        # for size < rho n.  The bound falls as t grows, so one walk down from
+        # the largest size below rho n finds each t's largest size (-1 if none).
+        max_size, size = {}, ceil_frac(rho * n) - 1
+        for t in ts:
+            while size >= 0 and not le_with_ln(t * epsilon * n / (8 * rho * (rho * n - size)),
+                                               Fraction(1), x):
+                size -= 1
+            max_size[t] = size
+        return cls(n, rho, epsilon, t_max, threshold, max_size,
                    floor_frac(epsilon * n * n / 4))
 
 

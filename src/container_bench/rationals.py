@@ -1,15 +1,16 @@
 """Exact rational parsing and guarded comparisons against logarithmic bounds.
 
 Every threshold in this package is an exact rational.  The only irrational
-quantity that ever enters a comparison is ln(x) for a rational x > 0 (and its
-square, via thresholds of the form t*sqrt(eps) >= c*ln(x), which are squared
-into rational-coefficient polynomials in ln(x) first).
+quantity that ever enters a comparison is ln(x) for a rational x > 0, in a
+polynomial of any degree in ln(x) with rational coefficients (a bound like
+t*sqrt(eps) >= c*ln(x) is squared into one first).
 
-Comparison scheme: evaluate in double precision; if the result lands inside a
-relative guard band of 1e-9 the comparison is redone with rational interval
-bounds on ln(x) obtained from a truncated series, with the truncation depth
-doubled until the sign is unambiguous.  Bound checks therefore never flip on
-float noise.
+sign_with_ln evaluates in double precision; if the result lands inside a
+relative guard band of 1e-9, or a term lies beyond the float range, it redoes
+the comparison with rational interval bounds on ln(x) from a truncated
+series, doubling the depth until the sign is unambiguous.  Bound checks
+therefore never flip on float noise.  least_int finds the least integer at
+which such a comparison holds in O(log t) of them, with no float estimate.
 """
 
 from __future__ import annotations
@@ -104,60 +105,77 @@ _GUARD = 1e-9
 _MAX_TERMS = 1 << 16
 
 
-def sign_with_ln(c0: Fraction, c1: Fraction, c2: Fraction, x: Fraction) -> int:
-    """Sign of c0 + c1*ln(x) + c2*ln(x)^2 with rational c0, c1, c2 and x > 0.
+def sign_with_ln(coeffs, x: Fraction) -> int:
+    """Sign of sum(coeffs[i] * ln(x)^i) with rational coeffs and x > 0.
 
     Returns -1, 0 or +1.  An exact zero can only occur when the logarithmic
-    terms vanish (x == 1 or c1 == c2 == 0); otherwise the value is irrational
-    and the interval refinement below always separates it from zero.
+    terms vanish (x == 1 or coeffs[1:] all zero): ln(x) is transcendental for
+    rational x != 1, so otherwise the value is nonzero and the interval
+    refinement below always separates it from zero.
     """
     if x <= 0:
         raise ValueError("sign_with_ln requires x > 0")
-    if x == 1 or (c1 == 0 and c2 == 0):
-        v = c0
-        return (v > 0) - (v < 0)
+    if x == 1 or not any(coeffs[1:]):
+        return (coeffs[0] > 0) - (coeffs[0] < 0)
 
-    lx = math.log(x)
-    t0, t1, t2 = float(c0), float(c1) * lx, float(c2) * lx * lx
-    v = t0 + t1 + t2
-    scale = max(1.0, abs(t0), abs(t1), abs(t2))
+    try:
+        lx = math.log(x)
+    except (OverflowError, ValueError):  # x lies beyond the float range
+        lx = math.log(x.numerator) - math.log(x.denominator)
+    v, scale, power = 0.0, 1.0, 1.0
+    try:
+        for c in coeffs:  # a term past the float range makes scale inf: no float decides
+            term = float(c) * power
+            v, scale, power = v + term, max(scale, abs(term)), power * lx
+    except OverflowError:  # a coefficient lies beyond the float range
+        scale = math.inf
     if abs(v) > _GUARD * scale:
         return 1 if v > 0 else -1
 
     terms = 32
     while terms <= _MAX_TERMS:
         li = ln_interval(x, terms)
-        l2 = _interval_mul(li, li)
-        lo = c0 + min(c1 * li[0], c1 * li[1]) + min(c2 * l2[0], c2 * l2[1])
-        hi = c0 + max(c1 * li[0], c1 * li[1]) + max(c2 * l2[0], c2 * l2[1])
+        lo = hi = Fraction(0)
+        power = (Fraction(1), Fraction(1))
+        for i, c in enumerate(coeffs):
+            if i:
+                power = _interval_mul(power, li)
+            ends = (c * power[0], c * power[1])
+            lo, hi = lo + min(ends), hi + max(ends)
         if lo > 0:
             return 1
         if hi < 0:
             return -1
         terms *= 2
-    raise ArithmeticError(
-        f"could not separate c0 + c1*ln(x) + c2*ln(x)^2 from zero at x={x}"
-    )
+    raise ArithmeticError(f"could not separate sum(coeffs[i] * ln(x)^i) from zero at x={x}")
 
 
 def le_with_ln(lhs: Fraction, coef: Fraction, x: Fraction) -> bool:
     """Decide lhs <= coef * ln(x) exactly (guarded)."""
-    return sign_with_ln(lhs, -coef, Fraction(0), x) <= 0
+    return sign_with_ln((lhs, -coef), x) <= 0
 
 
-def ge_with_ln(lhs: Fraction, coef: Fraction, x: Fraction) -> bool:
-    """Decide lhs >= coef * ln(x) exactly (guarded)."""
-    return sign_with_ln(lhs, -coef, Fraction(0), x) >= 0
+def least_int(holds, lo: int, hi: int | None = None) -> int:
+    """Least t in [lo, hi] with holds(t), for holds false up to some t, true
+    from it on; holds(hi) is taken as true, never asked (no hi: unbounded).
+    The step from lo doubles until a probe holds, then the bracket is bisected.
+    """
+    top, step = lo, 1
+    while (hi is None or top < hi) and not holds(top):
+        lo, step = top + 1, step * 2
+        top = lo + step - 1
+    top = top if hi is None else min(top, hi)
+    while lo < top:
+        mid = (lo + top) // 2
+        if holds(mid):
+            top = mid
+        else:
+            lo = mid + 1
+    return top
 
 
 def floor_times_ln(coef: Fraction, x: Fraction) -> int:
     """Exact floor(coef * ln(x)) for coef > 0, x > 1."""
     if coef <= 0 or x <= 1:
         raise ValueError("floor_times_ln requires coef > 0 and x > 1")
-    est = math.floor(float(coef) * math.log(x))
-    # Correct the float estimate: want largest integer t with t <= coef*ln(x).
-    while not le_with_ln(Fraction(est), coef, x):
-        est -= 1
-    while le_with_ln(Fraction(est + 1), coef, x):
-        est += 1
-    return est
+    return least_int(lambda t: sign_with_ln((t, -coef), x) > 0, 0) - 1

@@ -15,7 +15,6 @@ counts.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Optional
@@ -24,10 +23,19 @@ import numpy as np
 
 from .core import Graph, Hypergraph, WorkCapExceeded, bits_of, comb_exceeds, mask_of
 from .csp import Csp, is_satisfiable, restrict
-from .rationals import ceil_frac, sign_with_ln
+from .rationals import ceil_frac, least_int, sign_with_ln
 from .rng import GENERATOR_NAME, make_rng, sample_without_replacement
 
 DEFAULT_SEARCH_CAP = 10_000_000
+
+
+def _derived_size(name: str, at_least, n: int) -> int:
+    """The least size in [1, n] at which the monotone bound at_least holds."""
+    size = least_int(at_least, 0, n + 1)
+    if not 1 <= size <= n:
+        raise ValueError(f"derived {name} {'exceeds n' if size else 'is 0'}; "
+                         f"it must lie in [1, n={n}]")
+    return size
 
 
 @dataclass(frozen=True)
@@ -35,9 +43,9 @@ class SatTesterParams:
     """Sample size for the canonical satisfiability tester.
 
     When s is not given it is derived as ceil(c * (k q^3 / eps) * ln^2(kq/eps))
-    (the theorem-statement form of the sample bound), exactly: a float
-    estimate is corrected with sign_with_ln, so the result does not depend on
-    libm at integer boundaries.
+    (the theorem-statement form of the sample bound), exactly: the least s
+    with s - (c k q^3 / eps) ln^2(kq/eps) >= 0 is searched for with
+    sign_with_ln, so the result does not depend on libm.
     """
 
     epsilon: Fraction
@@ -45,25 +53,12 @@ class SatTesterParams:
     c: Fraction = Fraction(1)
 
     def resolve_s(self, n: int, k: int, q: int) -> int:
-        if self.s is not None:
-            s = self.s
-        else:
+        s = self.s
+        if s is None:
             lead = self.c * k * q**3 / self.epsilon
             x = k * q / self.epsilon
-            try:
-                estimate = math.ceil(float(lead) * math.log(x) ** 2)
-            except OverflowError:
-                raise ValueError("the derived sample size overflows a float") from None
-            # Least integer s with s - lead * ln(x)^2 >= 0, stepped to from the
-            # estimate within [0, n + 1], all it takes to decide 1 <= s <= n.
-            s = min(max(estimate, 0), n + 1)
-            while s > 0 and sign_with_ln(Fraction(s - 1), 0, -lead, x) >= 0:
-                s -= 1
-            while s <= n and sign_with_ln(Fraction(s), 0, -lead, x) < 0:
-                s += 1
-            if not 1 <= s <= n:
-                raise ValueError(f"derived sample size (about {estimate:.3g}) "
-                                 f"must lie in [1, n={n}]")
+            s = _derived_size("sample size",
+                              lambda t: sign_with_ln((t, 0, -lead), x) >= 0, n)
         if not 1 <= s <= n:
             raise ValueError(f"sample size {s} must lie in [1, n={n}]")
         return s
@@ -73,8 +68,10 @@ class SatTesterParams:
 class StarTesterParams:
     """Core/body sample sizes for the star tester.
 
-    Derived sizes: r = ceil(c1 * (rho^2/eps^{3/2}) ln^2(1/eps)),
-    s = ceil(c2 * (rho^3/eps^2) ln^3(1/eps)); r <= s <= n is enforced.
+    Derived sizes, exact with L = ln(1/eps): r = ceil(c1 (rho^2/eps^{3/2}) L^2),
+    the least r >= 0 with r^2 eps^3 >= c1^2 rho^4 L^4 (0 for c1 <= 0), and
+    s = ceil(c2 (rho^3/eps^2) L^3), the least s >= 0 with s eps^2 >= c2 rho^3 L^3.
+    r <= s <= n is enforced.
     """
 
     rho: Fraction
@@ -87,15 +84,13 @@ class StarTesterParams:
 
     def resolve(self, n: int) -> tuple[int, int]:
         r, s = self.r, self.s
-        try:
-            eps = float(self.epsilon)
-            rho = float(self.rho)
-            if r is None:
-                r = math.ceil(float(self.c1) * rho**2 / eps**1.5 * math.log(1 / eps) ** 2)
-            if s is None:
-                s = math.ceil(float(self.c2) * rho**3 / eps**2 * math.log(1 / eps) ** 3)
-        except (OverflowError, ZeroDivisionError):
-            raise ValueError("the derived sample sizes overflow a float") from None
+        rho, eps, c1 = self.rho, self.epsilon, self.c1
+        if r is None:
+            r = _derived_size("r", lambda t: c1 <= 0 or sign_with_ln(
+                (t * t * eps**3, 0, 0, 0, -(c1 * rho**2) ** 2), 1 / eps) >= 0, n)
+        if s is None:
+            s = _derived_size("s", lambda t: sign_with_ln(
+                (t * eps**2, 0, 0, -self.c2 * rho**3), 1 / eps) >= 0, n)
         if not 1 <= r <= s <= n:
             raise ValueError(f"need 1 <= r <= s <= n, got r={r}, s={s}, n={n}")
         return r, s

@@ -8,6 +8,7 @@ implementations.
 from __future__ import annotations
 
 import itertools
+import math
 import os
 from fractions import Fraction
 
@@ -15,6 +16,7 @@ import pytest
 from hypothesis import settings
 
 from container_bench import Csp, Graph, Hypergraph
+from container_bench.rationals import le_with_ln
 
 # HYPOTHESIS_PROFILE=ci replays the same examples on every run, so a CI
 # failure reproduces locally under the same setting.
@@ -85,8 +87,6 @@ def oracle_independent_sets(host, size=None, variable_distinct=False):
 
 
 def oracle_min_falsified(csp: Csp) -> tuple[int, Fraction]:
-    import math
-
     falsifying = [(c.scope, set(c.falsifying)) for c in csp.constraints]
     best = None
     for assignment in itertools.product(range(csp.k), repeat=csp.n):
@@ -158,3 +158,14 @@ def oracle_shpp_member(g: Graph, spec) -> bool:
         if ok:
             return True
     return g.n == 0
+
+
+def stepped_floor_times_ln(coef: Fraction, x: Fraction) -> int:
+    """floor(coef * ln(x)) the earlier way: a float estimate, then unit steps
+    with the guarded comparator.  Exact, but slow where the float is far off."""
+    est = math.floor(float(coef) * math.log(x))
+    while not le_with_ln(Fraction(est), coef, x):
+        est -= 1
+    while le_with_ln(Fraction(est + 1), coef, x):
+        est += 1
+    return est

@@ -223,6 +223,26 @@ def test_verify_gcl_star_and_shrinking(tmp_path):
     assert read_json(tmp_path / "sh.json")["samples"] == 200
 
 
+@pytest.mark.parametrize("verb, gen, epsilon", [
+    # t_max is about 9e21 here, millions of units from a float estimate
+    ("gcl-star", ["gen-graph", "--n", "10", "--p", "7/10", "--seed", "3"],
+     "1/1" + "0" * 20),
+    # k q / eps is far beyond the float range
+    ("gcl-sat", ["gen-csp", "--n", "5", "--k", "2", "--q", "2", "--seed", "3"],
+     "1/1" + "0" * 400),
+], ids=["gcl-star", "gcl-sat"])
+def test_verify_at_a_tiny_certified_epsilon(tmp_path, verb, gen, epsilon):
+    entry = tmp_path / "corpus" / "entry"
+    entry.mkdir(parents=True)
+    kind = "--graph" if verb == "gcl-star" else "--csp"
+    rho = ["--rho", "1/2"] if verb == "gcl-star" else []
+    assert run_cli(*gen, "--out", str(entry / "instance.json")) == 0
+    assert run_cli("certify", kind, str(entry / "instance.json"), *rho,
+                   "--epsilon", epsilon, "--out", str(entry / "certificate.json")) == 0
+    assert run_cli("verify", verb, "--corpus", str(tmp_path / "corpus"), "--workers", "1",
+                   "--out", str(tmp_path / "report.json")) == 0
+
+
 def test_verify_container_degree(tmp_path, triangle_csp):
     from fractions import Fraction
 

@@ -1,6 +1,7 @@
 import itertools
 import math
 import pickle
+import random
 import weakref
 from fractions import Fraction
 
@@ -18,9 +19,14 @@ from container_bench import (
     run_star_generator,
     verify_gcl_star,
 )
-from container_bench.containers_star import RhoDistance, ShrinkingOutcome, StarBounds
+from container_bench.containers_star import (
+    RhoDistance,
+    ShrinkingOutcome,
+    StarBounds,
+    _bullet_threshold,
+)
 from container_bench.core import WorkCapExceeded, as_mask, bits_of, mask_of
-from container_bench.rationals import ceil_frac, le_with_ln
+from container_bench.rationals import ceil_frac, le_with_ln, sign_with_ln
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -28,6 +34,7 @@ from conftest import (
     complete_graph,
     oracle_is_independent,
     oracle_min_edges_subset,
+    stepped_floor_times_ln,
     subsets,
 )
 
@@ -330,6 +337,14 @@ def plain_distance_to_rho_is(g, rho):
     return RhoDistance(best, Fraction(best, n * n), bits_of(best_mask), target)
 
 
+def test_distance_with_a_single_leaf_needs_no_deep_recursion():
+    # rho = 1 admits one subset, all n vertices; finding it once recursed n
+    # deep, a RecursionError (exit 3 from certify) past about 1,000 vertices.
+    g = Graph.from_edges(3000, [(0, 1), (0, 2), (1, 2), (2, 3), (2999, 5)])
+    got = distance_to_rho_is(g, Fraction(1))
+    assert (got.min_edits, got.witness) == (5, tuple(range(3000)))
+
+
 def test_bounded_distance_matches_plain_enumeration():
     # Every (n, graph kind, rho) for n in 1..18, twice with different seeds;
     # RhoDistance equality covers min_edits, distance, witness and target_size.
@@ -575,6 +590,69 @@ def test_star_bounds_size_table_matches_guarded_comparator(n, rho, eps):
                                           Fraction(1), x)
             assert (size <= largest) == fits, (t, size, largest)
     assert bounds.edge_cap == math.floor(eps * n * n / 4)
+
+
+def _stepped_bullet_threshold(rho: Fraction, epsilon: Fraction) -> int:
+    """The earlier _bullet_threshold: a float estimate, stepped to by units."""
+    x = 2 * rho / epsilon
+    est = math.floor(4 * float(rho) * math.log(float(x)) / math.sqrt(float(epsilon)))
+    est = max(est, 0)
+
+    def at_least(t: int) -> bool:
+        return sign_with_ln((Fraction(t * t) * epsilon, Fraction(0), -16 * rho * rho), x) >= 0
+    while est > 0 and at_least(est - 1):
+        est -= 1
+    while not at_least(est):
+        est += 1
+    return est
+
+
+def _stepped_max_container_size(n: int, rho: Fraction, epsilon: Fraction, t: int) -> int:
+    """The earlier per-t size search: a float estimate, stepped to by units."""
+    x = 2 * rho / epsilon
+
+    def fits(size: int) -> bool:
+        gap = rho * n - size
+        if gap <= 0:
+            return False
+        return le_with_ln(t * epsilon * n / (8 * rho * gap), Fraction(1), x)
+
+    est = (float(rho) - t * float(epsilon) / (8 * float(rho) * math.log(x))) * n
+    est = min(max(math.floor(est), -1), n)
+    while est >= 0 and not fits(est):
+        est -= 1
+    while est < n and fits(est + 1):
+        est += 1
+    return est
+
+
+def _random_star_instance(rng: random.Random) -> tuple[int, Fraction, Fraction]:
+    den = rng.randint(1, 12)
+    rho = Fraction(rng.randint(1, den), den)
+    eps = 2 * rho * Fraction(rng.randint(1, 999), 1000) / 10 ** rng.randint(0, 3)
+    return rng.randint(0, 16), rho, eps
+
+
+def test_bullet_threshold_matches_the_stepped_search():
+    rng = random.Random(7001)
+    for _ in range(1200):
+        _, rho, eps = _random_star_instance(rng)
+        assert _bullet_threshold(rho, eps) == _stepped_bullet_threshold(rho, eps), (rho, eps)
+
+
+def test_star_bounds_match_the_stepped_searches():
+    rng = random.Random(7002)
+    for _ in range(1000):
+        n, rho, eps = _random_star_instance(rng)
+        bounds = StarBounds.of(n, rho, eps)
+        t_max = stepped_floor_times_ln(8 * rho * rho / eps, 2 * rho / eps)
+        threshold = _stepped_bullet_threshold(rho, eps)
+        ts = list(range(1, min(n + 1, t_max) + 1))
+        if threshold <= t_max:
+            ts.append(threshold)
+        assert (bounds.t_max, bounds.threshold_t) == (t_max, threshold), (n, rho, eps)
+        assert bounds.max_size == {t: _stepped_max_container_size(n, rho, eps, t)
+                                   for t in ts}, (n, rho, eps)
 
 
 def test_gcl_star_bounds_are_per_instance(k4):

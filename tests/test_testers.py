@@ -1,5 +1,6 @@
 import itertools
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -23,7 +24,7 @@ from container_bench import (
     shpp_to_sat,
     star_tester,
 )
-from container_bench.rationals import ln_interval
+from container_bench.rationals import ceil_frac, ln_interval, sign_with_ln
 from container_bench.rng import make_rng, substream_seed
 from container_bench.testers import QueryCountingGraph, has_independent_set_of_size
 
@@ -121,6 +122,39 @@ def test_sat_params_far_out_of_range_fail_fast(c, eps):
     at once: stepping from the estimate stays within [0, n + 1]."""
     with pytest.raises(ValueError, match="derived sample size"):
         SatTesterParams(eps, c=Fraction(c)).resolve_s(6, 2, 2)
+
+
+def _stepped_resolve_s(eps: Fraction, c: Fraction, n: int, k: int, q: int):
+    """The earlier derived resolve_s: a float estimate, stepped to by units
+    within [0, n + 1].  None where it raised."""
+    lead = c * k * q**3 / eps
+    x = k * q / eps
+    estimate = math.ceil(float(lead) * math.log(x) ** 2)
+    s = min(max(estimate, 0), n + 1)
+    while s > 0 and sign_with_ln((Fraction(s - 1), 0, -lead), x) >= 0:
+        s -= 1
+    while s <= n and sign_with_ln((Fraction(s), 0, -lead), x) < 0:
+        s += 1
+    return s if 1 <= s <= n else None
+
+
+def test_sat_params_derived_s_matches_the_stepped_search():
+    rng = random.Random(8001)
+    raised = 0
+    for _ in range(1200):
+        eps = Fraction(rng.randint(1, 999), 1000) / 10 ** rng.randint(0, 4)
+        k, q = rng.randint(1, 4), rng.randint(1, 4)
+        c = Fraction(rng.randint(-3, 10 ** rng.randint(1, 6)), 10 ** rng.randint(0, 6))
+        n = rng.randint(1, 10 ** rng.randint(1, 8))
+        want = _stepped_resolve_s(eps, c, n, k, q)
+        params = SatTesterParams(eps, c=c)
+        if want is None:
+            raised += 1
+            with pytest.raises(ValueError, match="derived sample size"):
+                params.resolve_s(n, k, q)
+        else:
+            assert params.resolve_s(n, k, q) == want, (eps, c, n, k, q)
+    assert 100 < raised < 1100
 
 
 def test_sat_tester_report_fields(triangle_csp):
@@ -288,8 +322,72 @@ def test_star_params_validation():
     assert derived[1] == math.ceil(0.125 / eps**2 * math.log(1 / eps) ** 3)
     for params in (StarTesterParams(Fraction(1, 2), Fraction(1, 4), c1=Fraction(10**400)),
                    StarTesterParams(Fraction(1, 2), Fraction(1, 10**400))):
-        with pytest.raises(ValueError, match="overflow"):
+        with pytest.raises(ValueError, match="exceeds n"):
             params.resolve(10)
+
+
+def _interval_star_sizes(rho: Fraction, eps: Fraction, c1: Fraction, c2: Fraction):
+    """ceil(c1 rho^2 eps^{-3/2} L^2) and ceil(c2 rho^3 eps^{-2} L^3) for
+    L = ln(1/eps), 0 < eps < 1, each clamped at 0, from the 64-term rational
+    bounds on L; r through its square.  Asserts the bounds decide both."""
+    lo, hi = ln_interval(1 / eps, 64)
+
+    def least_root(a: Fraction) -> int:  # least r >= 0 with r^2 >= a
+        r = math.isqrt(a.numerator // a.denominator)
+        return r if r * r >= a else r + 1
+
+    rs = {0 if c1 <= 0 else least_root(c1**2 * rho**4 * L**4 / eps**3) for L in (lo, hi)}
+    ss = {max(ceil_frac(c2 * rho**3 * L**3 / eps**2), 0) for L in (lo, hi)}
+    assert len(rs) == len(ss) == 1, (rho, eps, c1, c2)
+    return rs.pop(), ss.pop()
+
+
+def _star_boundary_cases():
+    """(rho, eps, c1, c2, index, want): r (index 0) or s (index 1) lies within
+    1e-25 of an integer N, above it (want N + 1) or below it (want N).  eps
+    is a square, so eps^{3/2} is rational."""
+    cases = []
+    for rho, root, big in ((Fraction(1, 2), Fraction(1, 2), 37), (Fraction(1, 3), Fraction(1, 3), 500),
+                           (Fraction(2, 3), Fraction(1, 10), 12345), (Fraction(1), Fraction(2, 3), 2)):
+        eps = root * root
+        lo, hi = ln_interval(1 / eps, 64)
+        for L, shift, want in ((lo, 1 + Fraction(1, 10**25), big + 1),
+                               (hi, 1 - Fraction(1, 10**25), big)):
+            cases.append((rho, eps, big * root**3 / (rho**2 * L**2) * shift, Fraction(1000), 0, want))
+            cases.append((rho, eps, Fraction(1, 10**9), big * eps**2 / (rho**3 * L**3) * shift, 1, want))
+    return cases
+
+
+def test_star_params_derived_sizes_match_an_interval_reference():
+    rng = random.Random(8002)
+    grid = []
+    for _ in range(400):
+        den = rng.randint(1, 10)
+        rho = Fraction(rng.randint(1, den), den)
+        eps = Fraction(rng.randint(1, 999), 1000) / 10 ** rng.randint(0, 3)
+        c1 = Fraction(rng.randint(-2, 10 ** rng.randint(0, 4)), 10 ** rng.randint(0, 4))
+        c2 = Fraction(rng.randint(-2, 10 ** rng.randint(0, 4)), 10 ** rng.randint(0, 4))
+        grid.append((rho, eps, c1, c2))
+    boundary = _star_boundary_cases()
+    derived = 0
+    for rho, eps, c1, c2 in grid + [case[:4] for case in boundary]:
+        r, s = _interval_star_sizes(rho, eps, c1, c2)
+        params = StarTesterParams(rho, eps, c1=c1, c2=c2)
+        if 1 <= r <= s <= 10**12:
+            derived += 1
+            assert params.resolve(10**12) == (r, s), (rho, eps, c1, c2)
+        else:
+            with pytest.raises(ValueError):
+                params.resolve(10**12)
+    assert derived > 150
+    # each boundary case lands on its side of N, where the float formula
+    # cannot tell the two sides apart
+    for rho, eps, c1, c2, index, want in boundary:
+        assert StarTesterParams(rho, eps, c1=c1, c2=c2).resolve(10**12)[index] == want
+        rho_f, eps_f = float(rho), float(eps)
+        value = (float(c1) * rho_f**2 / eps_f**1.5 * math.log(1 / eps_f) ** 2 if index == 0
+                 else float(c2) * rho_f**3 / eps_f**2 * math.log(1 / eps_f) ** 3)
+        assert value == pytest.approx(round(value), abs=1e-9)
 
 
 # ------------------------------------------------------------- canonical IS
