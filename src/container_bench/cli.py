@@ -123,6 +123,10 @@ def _vertex_list(text: str) -> tuple[int, ...]:
     return tuple(int(v) for v in text.split(","))
 
 
+def _int_tuple(text: str) -> tuple[int, ...]:
+    return tuple(int(x) for x in text.split(","))
+
+
 def _worker_count(text: str) -> int:
     try:
         value = int(text)
@@ -624,24 +628,19 @@ def _cmd_verify_shrinking(args) -> int:
 
 
 def _tester_spec_from_args(args) -> tuple[TesterSpec, object]:
+    """The TesterSpec of the kind's own options (see _TESTERS) and the
+    instance it runs on."""
     kind = args.tester
-    source = {"sat": "csp", "color": "hypergraph"}.get(kind, "graph")
-    instance = _load(getattr(args, source), source)
+    epsilon, before, (source, _), after = _TESTERS[kind]
+    options = {_dest(flag): getattr(args, _dest(flag))
+               for flag, _ in (epsilon, _S, *before, *after)}
+    if kind == "canonical-is" and args.s is None:
+        raise ValueError("canonical-is requires --s")
     if kind == "indepset":
-        options = {"rho": args.rho, "epsilon": args.epsilon, "r": args.r,
-                   "s": args.s, "c1": args.c1, "c2": args.c2,
-                   "disjoint": args.disjoint_samples}
-    elif kind == "canonical-is":
-        if args.s is None:
-            raise ValueError("canonical-is requires --s")
-        options = {"rho": args.rho, "s": args.s}
-    else:  # sat, color and shpp: run_tester reduces the last two to sat
-        options = {"epsilon": args.epsilon, "s": args.s, "c": args.c}
-        if kind == "color":
-            options["k"] = args.k
-        if kind == "shpp":
-            options["spec"] = serialize.shpp_spec_from_dict(_load_json(args.spec))
-    return TesterSpec(kind, options), instance
+        options["disjoint"] = options.pop("disjoint_samples")
+    if kind == "shpp":
+        options["spec"] = serialize.shpp_spec_from_dict(_load_json(args.spec))
+    return TesterSpec(kind, options), _load(getattr(args, _dest(source)), _dest(source))
 
 
 def _cmd_test(args) -> int:
@@ -685,179 +684,152 @@ def _cmd_estimate(args) -> int:
     return EXIT_OK
 
 
-# -------------------------------------------------------------------- parser
+# ---------------------------------------------------------------- verb table
+#
+# An option is a (flag, kwargs) pair for add_argument; a list of pairs is a
+# required mutually exclusive group.  Each option is named here and nowhere
+# else; rows used by several verbs are written once.
+
+_OUT = ("--out", dict(default=None, help="output path (default stdout)"))
+_FORMAT = ("--format", dict(choices=("json", "csv"), default="json"))
+_SETS = [("--independent-set", dict(type=_vertex_list)),
+         ("--all-independent-sets", dict(action="store_true"))]
+_N = ("--n", dict(type=int, required=True))
+_PLANTED = ("--planted", dict(action="store_true"))
+_SEED = ("--seed", dict(type=int, required=True))
+_SEED_0 = ("--seed", dict(type=int, default=0))
+_CSP = ("--csp", dict(required=True))
+_GRAPH = ("--graph", dict(required=True))
+_CORPUS = ("--corpus", dict(required=True))
+_RHO = ("--rho", dict(type=_unit_interval_closed, required=True))
+_EPSILON = ("--epsilon", dict(type=_unit_interval, default=None))
+_EPSILON_REQUIRED = ("--epsilon", dict(type=_unit_interval, required=True))
+_S = ("--s", dict(type=int, default=None))
+_C = ("--c", dict(type=_rational, default=Fraction(1)))
+
+# Tester kinds: (--epsilon, options before the instance, the instance, options
+# after it).  A kind's TesterSpec takes --epsilon, --s and its own options.
+_TESTERS = {
+    "sat": (_EPSILON_REQUIRED, [_C], _CSP, []),
+    "color": (_EPSILON_REQUIRED, [_C], ("--hypergraph", dict(required=True)),
+              [("--k", dict(type=int, required=True))]),
+    "shpp": (_EPSILON_REQUIRED, [_C], _GRAPH,
+             [("--spec", dict(required=True,
+                              help="JSON file with k, lower, upper 0/1 matrices"))]),
+    "indepset": (_EPSILON_REQUIRED, [], _GRAPH,
+                 [_RHO, ("--r", dict(type=int, default=None)),
+                  ("--c1", dict(type=_rational, default=Fraction(1))),
+                  ("--c2", dict(type=_rational, default=Fraction(1))),
+                  ("--disjoint-samples", dict(action="store_true"))]),
+    "canonical-is": (_EPSILON, [], _GRAPH, [_RHO]),
+}
+
+# The verbs that group others: the dest their subcommand goes to, and help.
+_GROUPS = {"verify": ("verifier", "run a verifier; exit 1 on counterexample"),
+           "test": ("tester", "run a tester for one or more seeded trials"),
+           "estimate": ("tester", "Monte Carlo acceptance estimate")}
 
 
-def _add_out(parser) -> None:
-    parser.add_argument("--out", default=None, help="output path (default stdout)")
+def _dest(flag: str) -> str:
+    return flag[2:].replace("-", "_")
 
 
-def _add_sets_and_format(parser) -> None:
-    group = parser.add_mutually_exclusive_group(required=True)
-    group.add_argument("--independent-set", type=_vertex_list)
-    group.add_argument("--all-independent-sets", action="store_true")
-    parser.add_argument("--format", choices=("json", "csv"), default="json")
+def _verbs() -> dict:
+    """The verb table: each leaf verb's path -> (handler, help, options), in
+    --help order.  Built per call, so the --workers default reads
+    CONTAINER_BENCH_WORKERS each time."""
+    workers = ("--workers", dict(type=_worker_count, default=_default_workers()))
+    table = {
+        ("gen-csp",): (_cmd_gen_csp, "generate a random or planted-satisfiable CSP", [
+            _N, ("--k", dict(type=int, required=True)),
+            ("--q", dict(type=int, required=True)),
+            ("--constraint-density", dict(type=_rational, default=Fraction(1, 2))),
+            ("--falsifying-density", dict(type=_rational, default=Fraction(1, 2))),
+            _PLANTED,
+            ("--density", dict(type=_rational, default=Fraction(1, 2),
+                               help="planted mode density")),
+            _SEED, _OUT]),
+        ("gen-graph",): (_cmd_gen_graph, "generate a random or planted-IS graph", [
+            _N, ("--p", dict(type=_rational, default=Fraction(1, 2))), _PLANTED,
+            ("--rho", dict(type=_unit_interval_closed, default=Fraction(1, 2))),
+            _SEED, _OUT]),
+        ("build-hypergraph",): (_cmd_build_hypergraph,
+                                "labelled hypergraph encoding of a CSP", [_CSP, _OUT]),
+        ("dist-csp",): (_cmd_dist_csp, "exact distance to satisfiability",
+                        [_CSP, _EPSILON, _OUT]),
+        ("dist-graph",): (_cmd_dist_graph, "exact distance to the independent-set property",
+                          [_GRAPH, _RHO, _EPSILON, _OUT]),
+        ("certify",): (_cmd_certify, "emit an exact farness certificate", [
+            [("--csp", {}), ("--graph", {})],
+            ("--rho", dict(type=_unit_interval_closed, default=None)),
+            _EPSILON_REQUIRED, _OUT]),
+        ("containers-sat",): (_cmd_containers_sat, "run the hypergraph container generator", [
+            _CSP, ("--n-bound", dict(type=int, default=None)), _SETS, _FORMAT,
+            ("--variable-distinct", dict(action="store_true")), _OUT]),
+        ("containers-star",): (_cmd_containers_star, "run the star container generator",
+                               [_GRAPH, _SETS, _FORMAT, _OUT]),
+        ("verify", "gcl-sat"): (_cmd_verify_gcl, None, [_CORPUS, workers, _OUT]),
+        ("verify", "gcl-star"): (_cmd_verify_gcl, None, [_CORPUS, workers, _OUT]),
+        ("verify", "closure"): (_cmd_verify_closure, None, [
+            [("--corpus", {}),
+             ("--trace", dict(help="replay a serialized trace and compare"))], _OUT]),
+        ("verify", "edges-bound"): (_cmd_verify_edges_bound, None, [
+            [("--hypergraph", {}), ("--random", dict(type=int))], _SEED_0,
+            ("--ell", dict(type=_int_tuple, default=(2, 3, 4))),
+            ("--max-vertices", dict(type=int, default=12)), _OUT]),
+        ("verify", "container-degree"): (_cmd_verify_container_degree, None,
+                                         [_CORPUS, _OUT]),
+        ("verify", "shrinking"): (_cmd_verify_shrinking, None, [
+            _CORPUS, ("--samples", dict(type=int, default=1000)), _SEED_0, _OUT]),
+    }
+    for verb, handler, extra in (("test", _cmd_test, []),
+                                 ("estimate", _cmd_estimate, [workers])):
+        for kind, (epsilon, before, instance, after) in _TESTERS.items():
+            table[verb, kind] = (handler, None, [
+                epsilon, _S, _SEED, ("--trials", dict(type=int, default=1)), _FORMAT,
+                *before, instance, *after, _OUT, *extra])
+    return table
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(argv=()) -> argparse.ArgumentParser:
+    """The parser for the verb argv names, or for every verb when it names
+    none (--help, --version, a group's --help, a misspelt verb, no verb)."""
+    verbs = _verbs()
+    chosen = [path for path in verbs if tuple(argv[:len(path)]) == path]
     parser = argparse.ArgumentParser(
         prog="container-bench",
         description=__doc__,
         formatter_class=argparse.RawDescriptionHelpFormatter,
     )
     parser.add_argument("--version", action="version", version=__version__)
-    sub = parser.add_subparsers(dest="verb", required=True)
-
-    p = sub.add_parser("gen-csp", help="generate a random or planted-satisfiable CSP")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--q", type=int, required=True)
-    p.add_argument("--constraint-density", type=_rational, default=Fraction(1, 2))
-    p.add_argument("--falsifying-density", type=_rational, default=Fraction(1, 2))
-    p.add_argument("--planted", action="store_true")
-    p.add_argument("--density", type=_rational, default=Fraction(1, 2),
-                   help="planted mode density")
-    p.add_argument("--seed", type=int, required=True)
-    _add_out(p)
-    p.set_defaults(func=_cmd_gen_csp)
-
-    p = sub.add_parser("gen-graph", help="generate a random or planted-IS graph")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--p", type=_rational, default=Fraction(1, 2))
-    p.add_argument("--planted", action="store_true")
-    p.add_argument("--rho", type=_unit_interval_closed, default=Fraction(1, 2))
-    p.add_argument("--seed", type=int, required=True)
-    _add_out(p)
-    p.set_defaults(func=_cmd_gen_graph)
-
-    p = sub.add_parser("build-hypergraph", help="labelled hypergraph encoding of a CSP")
-    p.add_argument("--csp", required=True)
-    _add_out(p)
-    p.set_defaults(func=_cmd_build_hypergraph)
-
-    p = sub.add_parser("dist-csp", help="exact distance to satisfiability")
-    p.add_argument("--csp", required=True)
-    p.add_argument("--epsilon", type=_unit_interval, default=None)
-    _add_out(p)
-    p.set_defaults(func=_cmd_dist_csp)
-
-    p = sub.add_parser("dist-graph", help="exact distance to the independent-set property")
-    p.add_argument("--graph", required=True)
-    p.add_argument("--rho", type=_unit_interval_closed, required=True)
-    p.add_argument("--epsilon", type=_unit_interval, default=None)
-    _add_out(p)
-    p.set_defaults(func=_cmd_dist_graph)
-
-    p = sub.add_parser("certify", help="emit an exact farness certificate")
-    group = p.add_mutually_exclusive_group(required=True)
-    group.add_argument("--csp")
-    group.add_argument("--graph")
-    p.add_argument("--rho", type=_unit_interval_closed, default=None)
-    p.add_argument("--epsilon", type=_unit_interval, required=True)
-    _add_out(p)
-    p.set_defaults(func=_cmd_certify)
-
-    p = sub.add_parser("containers-sat", help="run the hypergraph container generator")
-    p.add_argument("--csp", required=True)
-    p.add_argument("--n-bound", type=int, default=None)
-    _add_sets_and_format(p)
-    p.add_argument("--variable-distinct", action="store_true")
-    _add_out(p)
-    p.set_defaults(func=_cmd_containers_sat)
-
-    p = sub.add_parser("containers-star", help="run the star container generator")
-    p.add_argument("--graph", required=True)
-    _add_sets_and_format(p)
-    _add_out(p)
-    p.set_defaults(func=_cmd_containers_star)
-
-    p = sub.add_parser("verify", help="run a verifier; exit 1 on counterexample")
-    vsub = p.add_subparsers(dest="verifier", required=True)
-
-    for verifier in ("gcl-sat", "gcl-star"):
-        v = vsub.add_parser(verifier)
-        v.add_argument("--corpus", required=True)
-        v.add_argument("--workers", type=_worker_count, default=_default_workers())
-        _add_out(v)
-        v.set_defaults(func=_cmd_verify_gcl)
-
-    v = vsub.add_parser("closure")
-    group = v.add_mutually_exclusive_group(required=True)
-    group.add_argument("--corpus")
-    group.add_argument("--trace", help="replay a serialized trace and compare")
-    _add_out(v)
-    v.set_defaults(func=_cmd_verify_closure)
-
-    v = vsub.add_parser("edges-bound")
-    group = v.add_mutually_exclusive_group(required=True)
-    group.add_argument("--hypergraph")
-    group.add_argument("--random", type=int)
-    v.add_argument("--seed", type=int, default=0)
-    v.add_argument("--ell", type=lambda s: tuple(int(x) for x in s.split(",")),
-                   default=(2, 3, 4))
-    v.add_argument("--max-vertices", type=int, default=12)
-    _add_out(v)
-    v.set_defaults(func=_cmd_verify_edges_bound)
-
-    v = vsub.add_parser("container-degree")
-    v.add_argument("--corpus", required=True)
-    _add_out(v)
-    v.set_defaults(func=_cmd_verify_container_degree)
-
-    v = vsub.add_parser("shrinking")
-    v.add_argument("--corpus", required=True)
-    v.add_argument("--samples", type=int, default=1000)
-    v.add_argument("--seed", type=int, default=0)
-    _add_out(v)
-    v.set_defaults(func=_cmd_verify_shrinking)
-
-    def add_tester_args(tp, kind):
-        tp.add_argument("--epsilon", type=_unit_interval,
-                        required=kind in ("sat", "color", "shpp", "indepset"))
-        tp.add_argument("--s", type=int, default=None)
-        tp.add_argument("--seed", type=int, required=True)
-        tp.add_argument("--trials", type=int, default=1)
-        tp.add_argument("--format", choices=("json", "csv"), default="json")
-        if kind in ("sat", "color", "shpp"):
-            tp.add_argument("--c", type=_rational, default=Fraction(1))
-        if kind == "sat":
-            tp.add_argument("--csp", required=True)
-        if kind == "color":
-            tp.add_argument("--hypergraph", required=True)
-            tp.add_argument("--k", type=int, required=True)
-        if kind == "shpp":
-            tp.add_argument("--graph", required=True)
-            tp.add_argument("--spec", required=True,
-                            help="JSON file with k, lower, upper 0/1 matrices")
-        if kind in ("indepset", "canonical-is"):
-            tp.add_argument("--graph", required=True)
-            tp.add_argument("--rho", type=_unit_interval_closed, required=True)
-        if kind == "indepset":
-            tp.add_argument("--r", type=int, default=None)
-            tp.add_argument("--c1", type=_rational, default=Fraction(1))
-            tp.add_argument("--c2", type=_rational, default=Fraction(1))
-            tp.add_argument("--disjoint-samples", action="store_true")
-        _add_out(tp)
-
-    for verb, help_text, func in (
-            ("test", "run a tester for one or more seeded trials", _cmd_test),
-            ("estimate", "Monte Carlo acceptance estimate", _cmd_estimate)):
-        tsub = sub.add_parser(verb, help=help_text).add_subparsers(
-            dest="tester", required=True)
-        for kind in ("sat", "color", "shpp", "indepset", "canonical-is"):
-            tp = tsub.add_parser(kind)
-            add_tester_args(tp, kind)
-            if verb == "estimate":
-                tp.add_argument("--workers", type=_worker_count,
-                                default=_default_workers())
-            tp.set_defaults(func=func)
-
+    # A narrowed parser still names every verb in its usage line; the full
+    # one keeps argparse's own, so a missing verb is reported as "verb".
+    words = ",".join(dict.fromkeys(path[0] for path in verbs))
+    subparsers = {(): parser.add_subparsers(
+        dest="verb", required=True, metavar=f"{{{words}}}" if chosen else None)}
+    for path in chosen or verbs:
+        handler, help_text, options = verbs[path]
+        if path[:-1] not in subparsers:
+            dest, group_help = _GROUPS[path[0]]
+            subparsers[path[:-1]] = subparsers[()].add_parser(
+                path[0], help=group_help).add_subparsers(dest=dest, required=True)
+        leaf = subparsers[path[:-1]].add_parser(
+            path[-1], **({"help": help_text} if help_text else {}))
+        for option in options:
+            if isinstance(option, list):
+                group = leaf.add_mutually_exclusive_group(required=True)
+                for flag, kwargs in option:
+                    group.add_argument(flag, **kwargs)
+            else:
+                flag, kwargs = option
+                leaf.add_argument(flag, **kwargs)
+        leaf.set_defaults(func=handler)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = build_parser(argv).parse_args(argv)
     try:
         try:
             return args.func(args)

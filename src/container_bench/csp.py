@@ -139,12 +139,15 @@ class SatResult:
     witness: Optional[dict[int, int]]
 
 
+def check_assignment_cap(k: int, n: int, cap: int = DEFAULT_ASSIGNMENT_CAP) -> None:
+    """WorkCapExceeded when the k^n assignments of n variables exceed cap."""
+    if k**n > cap:
+        raise WorkCapExceeded(f"k^n = {k}^{n} exceeds the assignment cap {cap}")
+
+
 def is_satisfiable(csp: Csp, cap: int = DEFAULT_ASSIGNMENT_CAP) -> SatResult:
     """Exhaustive satisfiability with a satisfying witness when one exists."""
-    if csp.k**csp.n > cap:
-        raise WorkCapExceeded(
-            f"k^n = {csp.k}^{csp.n} exceeds the assignment cap {cap}"
-        )
+    check_assignment_cap(csp.k, csp.n, cap)
     by_last: list[list[Constraint]] = [[] for _ in range(csp.n)]
     for c in csp.constraints:
         by_last[c.scope[-1]].append(c)
@@ -215,11 +218,8 @@ def distance_to_sat(csp: Csp, cap: int = DEFAULT_ASSIGNMENT_CAP) -> SatDistance:
     n=24, k=2, q=2 with 43 constraints takes 6-7 s on a 2-core host.
     """
     n, k = csp.n, csp.k
+    check_assignment_cap(k, n, cap)
     total = k**n
-    if total > cap:
-        raise WorkCapExceeded(
-            f"k^n = {k}^{n} exceeds the assignment cap {cap}"
-        )
     places = [k ** (n - 1 - x) for x in range(n)]
     weights = [k ** (csp.q - 1 - i) for i in range(csp.q)]
     tables = [(c.scope, _falsified_table(c, k)) for c in csp.constraints]

@@ -22,7 +22,7 @@ from typing import Optional
 import numpy as np
 
 from .core import Graph, Hypergraph, WorkCapExceeded, bits_of, comb_exceeds, mask_of
-from .csp import Csp, is_satisfiable, restrict
+from .csp import Csp, check_assignment_cap, is_satisfiable, restrict
 from .rationals import ceil_frac, least_int, sign_with_ln
 from .rng import GENERATOR_NAME, make_rng, sample_without_replacement
 
@@ -416,16 +416,21 @@ def run_tester(spec: TesterSpec, instance, seed: int) -> TesterReport:
     if spec.kind == "canonical-is":
         return canonical_is_tester(instance, Fraction(opts["rho"]),
                                    opts["s"], rng, seed)
-    if spec.kind == "sat":
-        csp = instance
-    elif spec.kind == "color":
-        csp = colorability_to_sat(instance, opts["k"])
-    elif spec.kind == "shpp":
-        csp = shpp_to_sat(instance, opts["spec"])
-    else:
+    if spec.kind not in ("sat", "color", "shpp"):
         raise ValueError(f"unknown tester kind {spec.kind!r}")
     params = SatTesterParams(Fraction(opts["epsilon"]), opts.get("s"),
                              Fraction(opts.get("c", 1)))
+    csp = instance
+    if spec.kind == "color":
+        k = opts["k"]
+        if k >= 1:  # else the reduction says so, first
+            # The restriction's k^s cap, read before the reduction builds k
+            # tuples per edge.
+            params = replace(params, s=params.resolve_s(instance.n, k, instance.q))
+            check_assignment_cap(k, params.s)
+        csp = colorability_to_sat(instance, k)
+    elif spec.kind == "shpp":
+        csp = shpp_to_sat(instance, opts["spec"])
     report = canonical_sat_tester(csp, params, rng, seed)
     if spec.kind == "sat":
         return report

@@ -300,6 +300,124 @@ def test_version_flag(capsys):
     assert exc.value.code == 0
 
 
+# ------------------------------------------------------------------- parser
+
+VERBS = ("gen-csp", "gen-graph", "build-hypergraph", "dist-csp", "dist-graph",
+         "certify", "containers-sat", "containers-star", "verify", "test", "estimate")
+_TESTER_KINDS = ("sat", "color", "shpp", "indepset", "canonical-is")
+_TESTER_INPUTS = {"sat": ["--csp", "c.json"], "color": ["--hypergraph", "h.json", "--k", "3"],
+                  "shpp": ["--graph", "g.json", "--spec", "s.json"],
+                  "indepset": ["--graph", "g.json", "--rho", "1/3", "--r", "2", "--c2", "3/2",
+                               "--disjoint-samples"],
+                  "canonical-is": ["--graph", "g.json", "--rho", "1/2"]}
+# One representative command line per leaf verb, each option off its default.
+LEAF_ARGV = {
+    ("gen-csp",): ["--n", "5", "--k", "3", "--q", "2", "--seed", "4", "--planted",
+                   "--density", "2/3", "--constraint-density", "1/4"],
+    ("gen-graph",): ["--n", "9", "--seed", "2", "--p", "1/3", "--planted", "--rho", "1/4"],
+    ("build-hypergraph",): ["--csp", "c.json", "--out", "h.json"],
+    ("dist-csp",): ["--csp", "c.json", "--epsilon", "1/5"],
+    ("dist-graph",): ["--graph", "g.json", "--rho", "1/2", "--epsilon", "1/7"],
+    ("certify",): ["--graph", "g.json", "--rho", "1/2", "--epsilon", "1/64"],
+    ("containers-sat",): ["--csp", "c.json", "--independent-set", "0,3", "--n-bound", "4",
+                          "--variable-distinct", "--format", "csv"],
+    ("containers-star",): ["--graph", "g.json", "--all-independent-sets"],
+    ("verify", "gcl-sat"): ["--corpus", "corpus", "--workers", "3"],
+    ("verify", "gcl-star"): ["--corpus", "corpus"],
+    ("verify", "closure"): ["--trace", "t.json", "--out", "r.json"],
+    ("verify", "edges-bound"): ["--random", "9", "--ell", "2,5", "--max-vertices", "7",
+                                "--seed", "3"],
+    ("verify", "container-degree"): ["--corpus", "corpus"],
+    ("verify", "shrinking"): ["--corpus", "corpus", "--samples", "12", "--seed", "8"],
+    **{(verb, kind): ["--epsilon", "1/8", "--seed", "5", "--s", "4", "--trials", "3",
+                      "--format", "csv", *_TESTER_INPUTS[kind],
+                      *(["--workers", "2"] if verb == "estimate" else [])]
+       for verb in ("test", "estimate") for kind in _TESTER_KINDS},
+}
+
+
+def test_the_table_has_every_leaf_verb():
+    from container_bench import cli
+
+    assert list(cli._verbs()) == list(LEAF_ARGV)
+
+
+@pytest.mark.parametrize("path", list(LEAF_ARGV), ids=" ".join)
+def test_every_leaf_verb_help_exits_0(path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run_cli(*path, "--help")
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith(f"usage: container-bench {' '.join(path)} ")
+
+
+def test_top_level_help_lists_every_verb(capsys):
+    with pytest.raises(SystemExit) as exc:
+        run_cli("--help")
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    assert "{" + ",".join(VERBS) + "}" in out
+    # The help rows: an indented verb, then its help text.
+    listed = [line.split()[0] for line in out.splitlines()
+              if line.startswith("    ") and len(line.split()) > 1]
+    assert listed == list(VERBS)
+
+
+@pytest.mark.parametrize("path", list(LEAF_ARGV), ids=" ".join)
+def test_narrowed_and_full_parsers_agree(path, monkeypatch):
+    """The parser main builds for one verb registers that verb alone and
+    parses its command line to the Namespace the parser of every verb does."""
+    import argparse
+
+    from container_bench.cli import build_parser
+
+    monkeypatch.delenv("CONTAINER_BENCH_WORKERS", raising=False)
+    argv = [*path, *LEAF_ARGV[path]]
+    narrowed = build_parser(argv)
+    verbs = next(a for a in narrowed._actions if isinstance(a, argparse._SubParsersAction))
+    assert list(verbs.choices) == [path[0]]
+    assert narrowed.parse_args(argv) == build_parser().parse_args(argv)
+
+
+def test_unrecognized_argument_usage_names_every_verb(capsys):
+    with pytest.raises(SystemExit) as exc:
+        run_cli("certify", "--csp", "c.json", "--epsilon", "1/4", "extra")
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: container-bench [-h] [--version]\n"
+                          f"                       {{{','.join(VERBS)}}}\n")
+    assert err.endswith("container-bench: error: unrecognized arguments: extra\n")
+
+
+@pytest.mark.parametrize("argv, missing", [([], "verb"), (["verify"], "verifier"),
+                                            (["estimate"], "tester")])
+def test_a_missing_verb_is_named_by_its_dest(argv, missing, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run_cli(*argv)
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.endswith(
+        f"error: the following arguments are required: {missing}\n")
+
+
+@pytest.mark.parametrize("k, s, message", [
+    ("0", ["--s", "99"], "need at least one colour"),
+    ("1000000", ["--s", "99"], "sample size 99 must lie in [1, n=6]"),
+    ("1000000", [], "derived sample size exceeds n"),
+    ("1000000", ["--s", "2"], "k^n = 1000000^2 exceeds the assignment cap 16777216"),
+])
+def test_color_cap_is_read_before_the_reduction(triangle_csp_file, tmp_path, capsys,
+                                                k, s, message):
+    """Colouring with a million colours exits 2 at once: the k^s cap of the
+    restriction is read before the reduction builds k tuples per edge, and
+    after the checks that fired before it."""
+    h = tmp_path / "h.json"
+    assert run_cli("build-hypergraph", "--csp", str(triangle_csp_file), "--out", str(h)) == 0
+    capsys.readouterr()
+    assert run_cli("test", "color", "--hypergraph", str(h), "--k", k, "--epsilon", "1/4",
+                   *s, "--seed", "1") == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err and err.count("\n") == 1
+
+
 def test_shpp_test_verb(tmp_path):
     from container_bench import Graph
 
@@ -917,9 +1035,8 @@ _TESTER_ARGS = {
        kind=st.sampled_from(sorted(_TESTER_ARGS)), spec=_spec_documents(),
        data=st.data())
 def test_tester_verbs_exit_0_or_2_on_mutated_input(verb, kind, spec, data):
-    """Option values are drawn small (at most 20 trials, k at most 50): the
-    colorability reduction builds k tuples per edge before any cap is read.
-    Each optional flag is left out one time in four."""
+    """Option values are drawn small (at most 20 trials, k at most 50), so
+    each run stays short.  Each optional flag is left out one time in four."""
     import contextlib
     import io
     import tempfile

@@ -7,9 +7,12 @@ containers-sat trace) in a fresh directory with relative paths, and compares
 every artifact's sha256 with digests recorded before the verify verbs were
 collapsed into one corpus-sweep loop.  sat.json's digest was re-recorded when
 containers-sat lost its --deg-mode flag: its config no longer echoes
-"deg_mode", and nothing else in it changed.  Artifacts echo their argv in
-"config", so the paths and flags below are part of the recorded bytes;
---workers is explicit for the same reason.
+"deg_mode", and nothing else in it changed.  verify edges-bound (on h.json
+and on random hypergraphs) and gen-csp --planted were added, with digests
+recorded, before the CLI's parser became one verb table; their configs echo
+options (--random, --ell, --max-vertices, --density) that nothing else pins.
+Artifacts echo their argv in "config", so the paths and flags below are part
+of the recorded bytes; --workers is explicit for the same reason.
 """
 
 from __future__ import annotations
@@ -36,8 +39,11 @@ GOLDEN = {
     "corpus/c8/instance.json": "f5d3f1f5a0323af3cb72bf3210e626b9e57aec371f92440221ecd3fe86227617",
     "csp.json": "5f53f2fe93c272d9322fe9dc22dc9acf20ebc75c6398575a2cf7987187ef1849",
     "dist.json": "fc4a10028eac4a83f188ea7c141d9b215f3acfb9a500786b5087414ce38fe7e5",
+    "edges-h.json": "36671ca4357a8082637e1d68c71620e7a0b568853d5f7684ee66e1d647c7f670",
+    "edges-random.json": "9703cb432678dc1ab7eae3ca5a2e29a03d360536b65bcd4418b3e579ca681006",
     "gcl-sat.json": "c21d89882ebbb2aaa7f797e30167de7372fe137ee764495f9268b4bc8d45aaf6",
     "h.json": "b17df040766c897d4471a68379e6f082a4a4b1a302eadd83ba32e41ca514d04d",
+    "planted.json": "131a715e7abf58b338210e822b6fbb3a51c1ef190956af7b9267443fae0c3bff",
     "replay.json": "5af6e15d9711f7469b438c745ad2eaf48b5bb367adfbf4e18ded9640a9ea6c2a",
     "sat-all.csv": "a1ec8c7b9620011bdb1088f152f9e5763199aabed23c96f68ac6989a263b73f5",
     "sat.csv": "c8dc7f17091291b43fef3f25d2814fb7caee33bfcd29e298942c20dec7a3b86d",
@@ -57,6 +63,11 @@ def run_sat_tour() -> dict[str, str]:
     _run("dist-csp", "--csp", "csp.json", "--epsilon", "1/3", "--out", "dist.json")
     _run("certify", "--csp", "csp.json", "--epsilon", "1/15", "--out", "cert.json")
     _run("build-hypergraph", "--csp", "csp.json", "--out", "h.json")
+    _run("verify", "edges-bound", "--hypergraph", "h.json", "--out", "edges-h.json")
+    _run("verify", "edges-bound", "--random", "20", "--seed", "3", "--ell", "2,3",
+         "--max-vertices", "8", "--out", "edges-random.json")
+    _run("gen-csp", "--planted", "--n", "6", "--k", "2", "--q", "2", "--density", "2/3",
+         "--seed", "4", "--out", "planted.json")
     _run("containers-sat", "--csp", "csp.json", "--independent-set", "0,3",
          "--format", "csv", "--out", "sat.csv")
     _run("containers-sat", "--csp", "csp.json", "--all-independent-sets",

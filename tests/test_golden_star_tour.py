@@ -3,16 +3,20 @@
 Runs the tour's star verbs (gen-graph, dist-graph, certify, containers-star,
 and verify gcl-star / closure / shrinking on a small certified corpus) in a
 fresh directory with relative paths, and compares every artifact's sha256
-with digests recorded before the star verifiers were rewritten.  Artifacts
-echo their argv in "config", so the paths and flags below are part of the
-recorded bytes; --workers is explicit for the same reason.
+with digests recorded before the star verifiers were rewritten.  verify
+closure --trace on a recorded star trace and gen-graph --planted were added,
+with digests recorded, before the CLI's parser became one verb table.
+Artifacts echo their argv in "config", so the paths and flags below are part
+of the recorded bytes; --workers is explicit for the same reason.
 """
 
 from __future__ import annotations
 
 import hashlib
+import json
 from pathlib import Path
 
+from container_bench import serialize
 from container_bench.cli import main
 
 # Graphs certified far at rho = 1/2, epsilon = 1/64 for the verifier corpus.
@@ -30,7 +34,10 @@ GOLDEN = {
     "dist.json": "a8423e82ce45e50c46e732e598094101ce4c1cb1ef5f949cd6c494f9eab27873",
     "g.json": "fa9248310e1dda3409920f6be83c0fe813f6faad935cc98116a6ee9d349822e0",
     "gcl-star.json": "86fd79972df037d0baf93a0728a3759db0d857213f85a05484d7fa8be47f177e",
+    "planted.json": "dfc1427b37bb9def7626ff6e8d5874358f68ec4411aed57fe787bf8f2732fe59",
     "shrinking.json": "5704255bdf65a64e429be259c9e2a0e2fe2e817572a71015fa97e21ac1b9cfa6",
+    "star-replay.json": "22cb938ec27c8101ee1f06af53da07d8963524b29df7fd9b911b5954d3d7ab53",
+    "star-trace.json": "cc83f3e0dbf283e5efab737ee1973c17d85289c0987a4cddc52bac13538e8c85",
     "star.csv": "40317e7e3cf5a0efa8c808f435e482f37c866dc824e938adbf992f0a3555f8ce",
     "star.json": "0a51f1ce7360314100d8de9afb0559f15e3e55c67c5202feda321ef5b9abd911",
 }
@@ -51,6 +58,11 @@ def run_star_tour() -> dict[str, str]:
          "--format", "csv", "--out", "star.csv")
     _run("containers-star", "--graph", "g.json", "--all-independent-sets",
          "--out", "star.json")
+    trace = json.loads(Path("star.json").read_text())["traces"][-1]
+    Path("star-trace.json").write_text(serialize.canonical_dumps(trace))
+    _run("verify", "closure", "--trace", "star-trace.json", "--out", "star-replay.json")
+    _run("gen-graph", "--planted", "--n", "12", "--rho", "1/2", "--p", "3/5",
+         "--seed", "2", "--out", "planted.json")
     for seed in CORPUS_SEEDS:
         entry = Path("corpus") / f"g{seed}"
         entry.mkdir(parents=True)
