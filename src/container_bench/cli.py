@@ -506,6 +506,11 @@ def _cmd_verify_edges_bound(args) -> int:
             raise CounterexampleFound({"verifier": "edges-bound", **summary})
         outcomes.append(summary)
     else:
+        if min(args.ell) < 2:
+            raise ValueError(f"--ell arities must be at least 2, got {min(args.ell)}")
+        if args.max_vertices < max(args.ell):
+            raise ValueError(f"--max-vertices {args.max_vertices} is below the largest "
+                             f"--ell arity {max(args.ell)}")
         rng = make_rng(args.seed)
         attempt = 0
         while len(outcomes) < args.random:
@@ -627,9 +632,9 @@ def _cmd_verify_shrinking(args) -> int:
 # ------------------------------------------------------------------- testers
 
 
-def _tester_spec_from_args(args) -> tuple[TesterSpec, object]:
-    """The TesterSpec of the kind's own options (see _TESTERS) and the
-    instance it runs on."""
+def _tester_spec_from_args(args) -> TesterSpec:
+    """The kind's tester (see _TESTERS), bound to the instance it names; the
+    trial count is checked after reading the files and before binding."""
     kind = args.tester
     epsilon, before, (source, _), after = _TESTERS[kind]
     options = {_dest(flag): getattr(args, _dest(flag))
@@ -640,14 +645,17 @@ def _tester_spec_from_args(args) -> tuple[TesterSpec, object]:
         options["disjoint"] = options.pop("disjoint_samples")
     if kind == "shpp":
         options["spec"] = serialize.shpp_spec_from_dict(_load_json(args.spec))
-    return TesterSpec(kind, options), _load(getattr(args, _dest(source)), _dest(source))
+    instance = _load(getattr(args, _dest(source)), _dest(source))
+    if args.trials < 1:
+        raise ValueError("trials must be at least 1")
+    return TesterSpec.of(kind, instance, options)
 
 
 def _cmd_test(args) -> int:
-    if args.trials < 1:
+    if args.trials < 1:  # before any file is read
         raise ValueError("trials must be at least 1")
-    spec, instance = _tester_spec_from_args(args)
-    reports = list(trial_reports(spec, instance, args.seed, range(args.trials)))
+    spec = _tester_spec_from_args(args)
+    reports = list(trial_reports(spec, args.seed, range(args.trials)))
     if args.format == "json":
         payload = {"tester": spec.kind,
                    "reports": [{**serialize.report_to_dict(r), "trial": i}
@@ -662,9 +670,8 @@ def _cmd_test(args) -> int:
 def _cmd_estimate(args) -> int:
     if args.out is None:
         raise ValueError("estimate requires --out (prefix for .csv and .json)")
-    spec, instance = _tester_spec_from_args(args)
-    result = estimate_acceptance(spec, instance, args.trials, args.seed,
-                                 workers=args.workers)
+    spec = _tester_spec_from_args(args)
+    result = estimate_acceptance(spec, args.trials, args.seed, workers=args.workers)
     prefix = Path(args.out)
     prefix.with_suffix(".csv").write_text(_trials_csv(result.rows))
     summary = {

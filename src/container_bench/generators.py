@@ -10,8 +10,9 @@ certified epsilon against it, and that recomputation is what makes a verdict
 sound.
 
 parallel_map is the package's one worker pool, for the CLI's corpus sweeps and
-estimate_acceptance's trial blocks.  Trial i always runs on substream i of the
-master seed (trial_reports), so no result depends on the worker count.
+estimate_acceptance's trial blocks.  Trials run a bound TesterSpec (see
+TesterSpec.of), and trial i always runs on substream i of the master seed
+(trial_reports), so no result depends on the worker count.
 """
 
 from __future__ import annotations
@@ -171,17 +172,17 @@ def parallel_map(fn, items: list, workers: int):
         return list(pool.map(fn, items))
 
 
-def trial_reports(spec: TesterSpec, instance, master_seed: int, trials: range):
+def trial_reports(spec: TesterSpec, master_seed: int, trials: range):
     """(trial, report) for each trial, lazily; trial i is seeded by substream
     i of the master seed."""
     for i in trials:
-        yield i, run_tester(spec, instance, substream_seed(master_seed, i))
+        yield i, run_tester(spec, substream_seed(master_seed, i))
 
 
 def _trial_block(args) -> list[tuple[int, int, str, Optional[int]]]:
-    spec, instance, master_seed, trials = args
+    spec, master_seed, trials = args
     return [(i, report.seed, report.verdict, report.query_count)
-            for i, report in trial_reports(spec, instance, master_seed, trials)]
+            for i, report in trial_reports(spec, master_seed, trials)]
 
 
 @dataclass(frozen=True)
@@ -196,15 +197,15 @@ class EstimateResult:
     rows: tuple[tuple[int, int, str, Optional[int]], ...]
 
 
-def estimate_acceptance(spec: TesterSpec, instance, trials: int,
-                        master_seed: int, workers: int = 1) -> EstimateResult:
+def estimate_acceptance(spec: TesterSpec, trials: int, master_seed: int,
+                        workers: int = 1) -> EstimateResult:
     """Monte Carlo acceptance estimate with per-trial derived seeds; results
     are invariant to the worker count."""
     if trials < 1:
         raise ValueError("trials must be at least 1")
     # One block per worker, or a single serial block for a short run.
     chunk = -(-trials // workers) if workers > 1 and trials >= 4 * workers else trials
-    blocks = [(spec, instance, master_seed, range(lo, min(lo + chunk, trials)))
+    blocks = [(spec, master_seed, range(lo, min(lo + chunk, trials)))
               for lo in range(0, trials, chunk)]
     rows = [row for block in parallel_map(_trial_block, blocks, workers)
             for row in block]

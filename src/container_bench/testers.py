@@ -2,9 +2,10 @@
 testing via reduction to satisfiability, the two-sample independent-set-star
 tester, and the canonical independent-set baseline.
 
-run_tester is the one dispatch over tester kinds.  sat, color and shpp share
-one path: reduce to satisfiability, run canonical_sat_tester, and relabel a
-color or shpp report with its kind and the reduction's k.
+TesterSpec.of binds a tester for a run, once: it reads the options, derives
+the sample sizes, reads the k^s cap and builds a color or shpp reduction.
+run_tester, one trial, is the one dispatch over tester kinds: sat, color and
+shpp all run canonical_sat_tester, and a color or shpp report is relabelled.
 
 Every tester run is a pure function of (instance, params, seed); reports echo
 the resolved parameters, the generator name, and exact query accounting.
@@ -15,9 +16,9 @@ counts.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from fractions import Fraction
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -177,6 +178,8 @@ class SHPPSpec:
     upper: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
+        if self.k < 1:
+            raise ValueError(f"a partition needs at least one part, got spec k={self.k}")
         for mat, name in ((self.lower, "lower"), (self.upper, "upper")):
             if len(mat) != self.k or any(len(row) != self.k for row in mat):
                 raise ValueError(f"{name} must be a {self.k}x{self.k} matrix")
@@ -198,33 +201,23 @@ class SHPPSpec:
                          if self.upper[i][j] == 1)
 
     def pair_allowed(self, adjacent: bool, a: int, b: int) -> bool:
-        allowed = self.pi1() if adjacent else self.pi0()
-        return (a, b) in allowed and (b, a) in allowed
+        bounds, allowed = (self.upper, 1) if adjacent else (self.lower, 0)
+        return bounds[a][b] == allowed == bounds[b][a]
 
 
 def shpp_to_sat(g: Graph, spec: SHPPSpec) -> Csp:
     """One variable per vertex over [k]; each vertex pair constrains its two
     part assignments to the compatible set for its adjacency."""
-    pi0, pi1 = spec.pi0(), spec.pi1()
     k = spec.k
-
-    def falsifying(allowed: frozenset[tuple[int, int]]):
-        return tuple(sorted(
-            (a, b) for a in range(k) for b in range(k)
-            if not ((a, b) in allowed and (b, a) in allowed)
-        ))
-
-    fals_adjacent = falsifying(pi1)
-    fals_nonadjacent = falsifying(pi0)
-    constraints = []
-    for a in range(g.n):
-        for b in range(a + 1, g.n):
-            fals = fals_adjacent if g.has_edge(a, b) else fals_nonadjacent
-            constraints.append(((a, b), fals))
+    falsifying = {adjacent: tuple((a, b) for a in range(k) for b in range(k)
+                                  if not spec.pair_allowed(adjacent, a, b))
+                  for adjacent in (False, True)}
+    constraints = [((a, b), falsifying[g.has_edge(a, b)])
+                   for a in range(g.n) for b in range(a + 1, g.n)]
     return Csp.of(g.n, k, 2, constraints)
 
 
-def has_independent_set_of_size(adj: tuple[int, ...], candidates: int,
+def has_independent_set_of_size(adj: Sequence[int], candidates: int,
                                 target: int) -> bool:
     """Exact branch and bound: does the induced subgraph on the candidate
     mask contain an independent set with `target` vertices?"""
@@ -270,7 +263,7 @@ def star_tester(graph: Graph, params: StarTesterParams,
         raise ValueError(f"disjoint samples need r + s <= n, got {r}+{s} > {n}")
     core = sample_without_replacement(rng, n, r)
     if params.disjoint:
-        outside = [v for v in range(n) if v not in set(core)]
+        outside = sorted(set(range(n)).difference(core))
         picks = sample_without_replacement(rng, len(outside), s)
         body = tuple(outside[i] for i in picks)
     else:
@@ -284,29 +277,18 @@ def star_tester(graph: Graph, params: StarTesterParams,
         )
 
     counted = QueryCountingGraph(graph)
-    answers: dict[frozenset[int], bool] = {}
     core_list = sorted(core)
     body_list = sorted(body)
+    # Sampled adjacency of the core vertices, restricted to the answered pairs.
+    adj_known = dict.fromkeys(core_list, 0)
     for i, u in enumerate(core_list):
-        for v in core_list[i + 1:]:
-            answers[frozenset((u, v))] = counted.query(u, v)
-        for v in body_list:
-            if v != u:
-                answers[frozenset((u, v))] = counted.query(u, v)
-
-    # Sampled adjacency restricted to the answered pairs.
-    adj_known = {u: 0 for u in core_list}
-    for pair, is_edge in answers.items():
-        if not is_edge:
-            continue
-        a, b = tuple(pair)
-        if a in adj_known:
-            adj_known[a] |= 1 << b
-        if b in adj_known:
-            adj_known[b] |= 1 << a
+        for v in core_list[i + 1:] + [w for w in body_list if w != u]:
+            if counted.query(u, v):
+                adj_known[u] |= 1 << v
+                if v in adj_known:
+                    adj_known[v] |= 1 << u
 
     body_mask = mask_of(body_list)
-    witness: Optional[dict] = None
 
     def compatible_count(core_mask: int) -> int:
         blocked = 0
@@ -316,32 +298,27 @@ def star_tester(graph: Graph, params: StarTesterParams,
         return (body_mask & ~blocked & ~core_mask).bit_count() + (
             body_mask & core_mask).bit_count()
 
-    chosen: list[int] = []
-
-    def search(start: int, core_mask: int) -> bool:
-        nonlocal witness
-        if len(chosen) == m_core:
-            if compatible_count(core_mask) >= m_body:
-                witness = {"core": tuple(chosen),
-                           "compatible": compatible_count(core_mask)}
-                return True
-            return False
+    def search(start: int, core_mask: int, size: int) -> Optional[dict]:
+        if size == m_core:
+            compatible = compatible_count(core_mask)
+            if compatible >= m_body:
+                return {"core": bits_of(core_mask), "compatible": compatible}
+            return None
         for idx in range(start, len(core_list)):
-            if len(core_list) - idx < m_core - len(chosen):
-                return False
+            if len(core_list) - idx < m_core - size:
+                return None
             v = core_list[idx]
             if adj_known[v] & core_mask:
                 continue
-            chosen.append(v)
-            if search(idx + 1, core_mask | (1 << v)):
-                return True
-            chosen.pop()
-        return False
+            witness = search(idx + 1, core_mask | (1 << v), size + 1)
+            if witness is not None:
+                return witness
+        return None
 
-    accepted = search(0, 0)
+    witness = search(0, 0, 0)
     return TesterReport(
         kind="star",
-        verdict="accept" if accepted else "reject",
+        verdict="reject" if witness is None else "accept",
         seed=seed,
         generator=GENERATOR_NAME,
         params={"rho": str(params.rho), "epsilon": str(params.epsilon),
@@ -362,24 +339,22 @@ def canonical_is_tester(graph: Graph, rho: Fraction, sample_size: int,
     n = graph.n
     if not 1 <= sample_size <= n:
         raise ValueError(f"sample size {sample_size} must lie in [1, {n}]")
-    target_cap = ceil_frac(Fraction(rho) * sample_size)
-    if comb_exceeds(sample_size, target_cap, search_cap):
+    target = ceil_frac(Fraction(rho) * sample_size)
+    if comb_exceeds(sample_size, target, search_cap):
         raise WorkCapExceeded(
-            f"C({sample_size},{target_cap}) subsets exceed the search cap {search_cap}"
+            f"C({sample_size},{target}) subsets exceed the search cap {search_cap}"
         )
     sample = sample_without_replacement(rng, n, sample_size)
     counted = QueryCountingGraph(graph)
     sample_list = sorted(sample)
-    adj_known = {u: 0 for u in sample_list}
+    adj_known = [0] * n
     for i, u in enumerate(sample_list):
         for v in sample_list[i + 1:]:
             if counted.query(u, v):
                 adj_known[u] |= 1 << v
                 adj_known[v] |= 1 << u
 
-    target = ceil_frac(Fraction(rho) * sample_size)
-    adj_full = tuple(adj_known.get(v, 0) for v in range(n))
-    accepted = has_independent_set_of_size(adj_full, mask_of(sample_list), target)
+    accepted = has_independent_set_of_size(adj_known, mask_of(sample_list), target)
     return TesterReport(
         kind="canonical-is",
         verdict="accept" if accepted else "reject",
@@ -391,47 +366,62 @@ def canonical_is_tester(graph: Graph, rho: Fraction, sample_size: int,
     )
 
 
+def _params_of(cls, options: dict):
+    """cls from the options named after its fields; the rest keep defaults."""
+    return cls(**{f.name: options[f.name] for f in fields(cls) if f.name in options})
+
+
 @dataclass(frozen=True)
 class TesterSpec:
-    """Names a tester plus its resolved options, for trial harnesses."""
+    """A tester bound for a run: its kind, the instance it samples (the
+    reduced CSP for color and shpp) and params with every size resolved."""
 
     __test__ = False  # not a pytest class, despite the name
 
     kind: str  # sat | color | shpp | indepset | canonical-is
-    options: dict
+    instance: object
+    params: object  # SatTesterParams, StarTesterParams, or (rho, s) for canonical-is
+
+    @classmethod
+    def of(cls, kind: str, instance, options: dict) -> "TesterSpec":
+        """Bind the named tester to instance.  options holds its params'
+        fields by name, plus k for color, the SHPPSpec as spec for shpp, and
+        rho and s for canonical-is.  sat, color and shpp establish k >= 1,
+        resolve s, read the k^s assignment cap, then reduce."""
+        if kind == "indepset":
+            params = _params_of(StarTesterParams, options)
+            r, s = params.resolve(instance.n)
+            return cls(kind, instance, replace(params, r=r, s=s))
+        if kind == "canonical-is":
+            return cls(kind, instance, (options["rho"], options["s"]))
+        if kind == "sat":
+            k, q = instance.k, instance.q
+        elif kind == "color":
+            k, q = options["k"], instance.q
+            if k < 1:
+                raise ValueError("need at least one colour")
+        elif kind == "shpp":
+            k, q = options["spec"].k, 2
+        else:
+            raise ValueError(f"unknown tester kind {kind!r}")
+        params = _params_of(SatTesterParams, options)
+        params = replace(params, s=params.resolve_s(instance.n, k, q))
+        check_assignment_cap(k, params.s)  # before a reduction builds its tuples
+        if kind == "color":
+            instance = colorability_to_sat(instance, k)
+        elif kind == "shpp":
+            instance = shpp_to_sat(instance, options["spec"])
+        return cls(kind, instance, params)
 
 
-def run_tester(spec: TesterSpec, instance, seed: int) -> TesterReport:
-    """One run of the named tester on the instance, seeded by seed."""
-    opts = spec.options
+def run_tester(spec: TesterSpec, seed: int) -> TesterReport:
+    """One trial of the bound tester, seeded by seed."""
     rng = make_rng(seed)
     if spec.kind == "indepset":
-        params = StarTesterParams(
-            rho=Fraction(opts["rho"]), epsilon=Fraction(opts["epsilon"]),
-            r=opts.get("r"), s=opts.get("s"),
-            c1=Fraction(opts.get("c1", 1)), c2=Fraction(opts.get("c2", 1)),
-            disjoint=bool(opts.get("disjoint", False)),
-        )
-        return star_tester(instance, params, rng, seed)
+        return star_tester(spec.instance, spec.params, rng, seed)
     if spec.kind == "canonical-is":
-        return canonical_is_tester(instance, Fraction(opts["rho"]),
-                                   opts["s"], rng, seed)
-    if spec.kind not in ("sat", "color", "shpp"):
-        raise ValueError(f"unknown tester kind {spec.kind!r}")
-    params = SatTesterParams(Fraction(opts["epsilon"]), opts.get("s"),
-                             Fraction(opts.get("c", 1)))
-    csp = instance
-    if spec.kind == "color":
-        k = opts["k"]
-        if k >= 1:  # else the reduction says so, first
-            # The restriction's k^s cap, read before the reduction builds k
-            # tuples per edge.
-            params = replace(params, s=params.resolve_s(instance.n, k, instance.q))
-            check_assignment_cap(k, params.s)
-        csp = colorability_to_sat(instance, k)
-    elif spec.kind == "shpp":
-        csp = shpp_to_sat(instance, opts["spec"])
-    report = canonical_sat_tester(csp, params, rng, seed)
+        return canonical_is_tester(spec.instance, *spec.params, rng, seed)
+    report = canonical_sat_tester(spec.instance, spec.params, rng, seed)
     if spec.kind == "sat":
         return report
-    return replace(report, kind=spec.kind, params={**report.params, "k": csp.k})
+    return replace(report, kind=spec.kind, params={**report.params, "k": spec.instance.k})

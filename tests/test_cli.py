@@ -1,4 +1,5 @@
 import json
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -197,6 +198,18 @@ def test_verify_edges_bound_random(tmp_path):
                    "--ell", "2,3", "--max-vertices", "10",
                    "--out", str(out)) == 0
     assert read_json(out)["checked"] == 50
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--ell=-2"], "--ell arities must be at least 2, got -2"),
+    (["--ell", "3,1"], "--ell arities must be at least 2, got 1"),
+    (["--max-vertices", "1"], "--max-vertices 1 is below the largest --ell arity 4"),
+    (["--ell", "2,5", "--max-vertices", "4"],
+     "--max-vertices 4 is below the largest --ell arity 5"),
+])
+def test_edges_bound_misuse_names_the_option(capsys, argv, message):
+    assert run_cli("verify", "edges-bound", "--random", "3", *argv) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_verify_gcl_star_and_shrinking(tmp_path):
@@ -416,6 +429,69 @@ def test_color_cap_is_read_before_the_reduction(triangle_csp_file, tmp_path, cap
                    *s, "--seed", "1") == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err and err.count("\n") == 1
+
+
+def _count_calls(monkeypatch, module, name: str, calls: Counter) -> None:
+    real = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls[name] += 1
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+
+
+def test_estimate_builds_each_reduction_once(triangle_csp_file, k4_file, tmp_path,
+                                             monkeypatch):
+    """A run binds its tester once, so 40 trials share one reduction."""
+    from container_bench import testers
+
+    calls = Counter()
+    for name in ("colorability_to_sat", "shpp_to_sat"):
+        _count_calls(monkeypatch, testers, name, calls)
+    h, spec = tmp_path / "h.json", tmp_path / "spec.json"
+    assert run_cli("build-hypergraph", "--csp", str(triangle_csp_file), "--out", str(h)) == 0
+    spec.write_text(json.dumps({"k": 2, "lower": [[0, 0], [0, 0]],
+                                "upper": [[0, 1], [1, 0]]}))
+    for argv in (["color", "--hypergraph", str(h), "--k", "2"],
+                 ["shpp", "--graph", str(k4_file), "--spec", str(spec)]):
+        assert run_cli("estimate", *argv, "--epsilon", "1/4", "--s", "3", "--seed", "5",
+                       "--trials", "40", "--workers", "1",
+                       "--out", str(tmp_path / "est")) == 0
+    assert calls == {"colorability_to_sat": 1, "shpp_to_sat": 1}
+
+
+def test_estimate_derives_its_sizes_once(tmp_path, monkeypatch):
+    """A derived r and s cost the same exact ln comparisons at 1 trial and 40."""
+    from container_bench import rationals, testers
+
+    graph = tmp_path / "g.json"
+    assert run_cli("gen-graph", "--n", "12", "--seed", "5", "--out", str(graph)) == 0
+    calls = Counter()
+    for module in (rationals, testers):
+        _count_calls(monkeypatch, module, "sign_with_ln", calls)
+    counts = []
+    for trials in ("1", "40"):
+        calls.clear()
+        assert run_cli("estimate", "indepset", "--graph", str(graph), "--rho", "1/2",
+                       "--epsilon", "1/4", "--seed", "5", "--trials", trials,
+                       "--workers", "1", "--out", str(tmp_path / "est")) == 0
+        counts.append(calls["sign_with_ln"])
+    assert counts[0] == counts[1] > 0
+
+
+@pytest.mark.parametrize("k", [0, -1])
+def test_shpp_spec_without_parts_names_its_k(tmp_path, k4_file, capsys, k):
+    """A spec with k < 1 is refused as a spec: before any size is derived, and
+    by estimate before the trial count."""
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"k": k, "lower": [], "upper": []}))
+    for verb, extra in (("test", ()), ("estimate", ("--trials", "0", "--workers", "1"))):
+        assert run_cli(verb, "shpp", "--graph", str(k4_file), "--spec", str(spec),
+                       "--epsilon", "1/4", "--seed", "3", *extra,
+                       "--out", str(tmp_path / "r")) == 2
+        assert capsys.readouterr().err == (
+            f"error: a partition needs at least one part, got spec k={k}\n")
 
 
 def test_shpp_test_verb(tmp_path):

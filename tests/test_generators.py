@@ -120,30 +120,30 @@ def test_sample_without_replacement_contract():
 
 
 def test_estimate_reproducible_and_worker_invariant(triangle_csp):
-    spec = TesterSpec("sat", {"epsilon": Fraction(1, 3), "s": 2})
-    serial = estimate_acceptance(spec, triangle_csp, 40, master_seed=7, workers=1)
-    again = estimate_acceptance(spec, triangle_csp, 40, master_seed=7, workers=1)
+    spec = TesterSpec.of("sat", triangle_csp, {"epsilon": Fraction(1, 3), "s": 2})
+    serial = estimate_acceptance(spec, 40, master_seed=7, workers=1)
+    again = estimate_acceptance(spec, 40, master_seed=7, workers=1)
     assert serial == again
-    parallel = estimate_acceptance(spec, triangle_csp, 40, master_seed=7, workers=2)
+    parallel = estimate_acceptance(spec, 40, master_seed=7, workers=2)
     assert parallel.rows == serial.rows
     assert parallel.accept_rate == serial.accept_rate
 
 
 def test_estimate_deterministic_instances(triangle_csp):
-    sat_spec = TesterSpec("sat", {"epsilon": Fraction(1, 3), "s": 3})
+    sat_spec = TesterSpec.of("sat", triangle_csp, {"epsilon": Fraction(1, 3), "s": 3})
     # s = n: the verdict equals exact satisfiability, i.e. always reject
-    res = estimate_acceptance(sat_spec, triangle_csp, 25, master_seed=1)
+    res = estimate_acceptance(sat_spec, 25, master_seed=1)
     assert res.accept_rate == 0.0
     from conftest import complete_graph
 
-    star_spec = TesterSpec("indepset", {"rho": Fraction(1, 2),
-                                        "epsilon": Fraction(1, 8),
-                                        "r": 4, "s": 6})
-    res = estimate_acceptance(star_spec, complete_graph(12), 25, master_seed=2)
+    star_spec = TesterSpec.of("indepset", complete_graph(12),
+                              {"rho": Fraction(1, 2), "epsilon": Fraction(1, 8),
+                               "r": 4, "s": 6})
+    res = estimate_acceptance(star_spec, 25, master_seed=2)
     assert res.accept_rate == 0.0
     assert res.wilson_low == 0.0
 
 
 def test_run_tester_dispatch_errors(triangle_csp):
     with pytest.raises(ValueError):
-        run_tester(TesterSpec("nope", {}), triangle_csp, 0)
+        run_tester(TesterSpec.of("nope", triangle_csp, {}), 0)

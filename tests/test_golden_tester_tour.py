@@ -6,8 +6,10 @@ with relative paths, and compares every artifact's sha256 with digests
 recorded before the three reduction-to-satisfiability copies in the tester
 dispatch were folded into one path.  The estimates run 16 trials, so
 `--workers 2` takes the process-pool path; their CSVs must match the serial
-ones byte for byte.  Artifacts echo their argv in "config", so the paths and
-flags below are part of the recorded bytes.
+ones byte for byte.  A second set of runs gives no --r or --s, so the
+artifacts also pin the sizes each tester derives from its options.  Artifacts
+echo their argv in "config", so the paths and flags below are part of the
+recorded bytes.
 """
 
 from __future__ import annotations
@@ -31,8 +33,26 @@ TESTERS = {
     "canonical-is": ["--graph", "g.json", "--rho", "1/2", "--s", "6"],
 }
 
+# Every size derived: s = 5 for sat, color and shpp (--c 1/100 keeps it below
+# n), and r = 4, s = 6 for indepset.
+DERIVED = {
+    "sat": (["--csp", "csp.json", "--epsilon", "1/4", "--c", "1/100"], {"s": 5}),
+    "color": (["--hypergraph", "h.json", "--k", "2", "--epsilon", "1/4",
+               "--c", "1/100"], {"s": 5}),
+    "shpp": (["--graph", "g.json", "--spec", "spec.json", "--epsilon", "1/4",
+              "--c", "1/100"], {"s": 5}),
+    "indepset": (["--graph", "g.json", "--rho", "1/2", "--epsilon", "1/4"],
+                 {"r": 4, "s": 6}),
+}
+
 GOLDEN = {
     "csp.json": "ee0090e36466fa29dad0e36991c696fafc05a793f57d0e1d074e6f0349937980",
+    "derived-est-indepset-w2.csv": "3c1e41f2819fb6f058d6f0e626a3ed81788a2296dd61b6b552da70f9c9b6921d",
+    "derived-est-indepset-w2.json": "d075e80e4349a7ba055ce7f6510c8c4a13ffad39c1c88d9d98f689c46766217b",
+    "derived-test-color.json": "c0c175892cba5b21ed4cd96685301bf580bec8ce063e126a8f8ca0457f280442",
+    "derived-test-indepset.json": "cb16c62529ab1440c0c65b26ce9fc75dff8c0ccd2b2fe2a26fa88152f73202a5",
+    "derived-test-sat.json": "46baaabb714a4fce9e88e1ec86955c07b3ba1ba96aa04741e75a1834fd0e9abb",
+    "derived-test-shpp.json": "69cb6f38ea03bf45fdda0acaf64847f5711de793465193d2080dc7753dd4de1a",
     "est-canonical-is-w1.csv": "12e4bcb01145d671f241920c466906a7feba570f572d0f4dac1b4c5bacc4001e",
     "est-canonical-is-w1.json": "15ad13c985a238ff08b3b56744c6e99da4a1afd0e0dbd0a634543fb4fcd41cca",
     "est-canonical-is-w2.csv": "12e4bcb01145d671f241920c466906a7feba570f572d0f4dac1b4c5bacc4001e",
@@ -87,6 +107,11 @@ def run_tester_tour() -> dict[str, str]:
         for workers in ("1", "2"):
             _run("estimate", kind, *argv, "--seed", "11", "--trials", "16",
                  "--workers", workers, "--out", f"est-{kind}-w{workers}")
+    for kind, (argv, _) in DERIVED.items():
+        _run("test", kind, *argv, "--seed", "11", "--trials", "6",
+             "--out", f"derived-test-{kind}.json")
+    _run("estimate", "indepset", *DERIVED["indepset"][0], "--seed", "11",
+         "--trials", "16", "--workers", "2", "--out", "derived-est-indepset-w2")
     paths = sorted(p for p in Path(".").rglob("*") if p.is_file())
     return {str(p): hashlib.sha256(p.read_bytes()).hexdigest() for p in paths}
 
@@ -97,4 +122,7 @@ def test_tester_tour_artifacts_are_byte_identical(tmp_path, monkeypatch, capsys)
     digests = run_tester_tour()
     for kind in TESTERS:
         assert digests[f"est-{kind}-w1.csv"] == digests[f"est-{kind}-w2.csv"]
+    for kind, (_, sizes) in DERIVED.items():
+        for report in json.loads(Path(f"derived-test-{kind}.json").read_text())["reports"]:
+            assert {key: report["params"][key] for key in sizes} == sizes, kind
     assert digests == GOLDEN

@@ -216,6 +216,24 @@ def test_shpp_biclique_spec_sets():
     assert spec.pi1() == frozenset({(0, 1), (1, 0)})
 
 
+@pytest.mark.parametrize("k", [1, 2])
+def test_shpp_pair_allowed_matches_the_spec_sets(k):
+    """On every 0/1 spec with k parts: (a, b) is allowed iff it and (b, a)
+    are both in pi1 (adjacent) or pi0 (not adjacent)."""
+    import itertools
+
+    for lower, upper in itertools.product(itertools.product((0, 1), repeat=k * k),
+                                          repeat=2):
+        if any(lo > up for lo, up in zip(lower, upper)):
+            continue
+        spec = SHPPSpec(k, *(tuple(cells[i * k:(i + 1) * k] for i in range(k))
+                             for cells in (lower, upper)))
+        for adjacent, allowed in ((False, spec.pi0()), (True, spec.pi1())):
+            for a, b in itertools.product(range(k), repeat=2):
+                assert spec.pair_allowed(adjacent, a, b) == (
+                    (a, b) in allowed and (b, a) in allowed)
+
+
 def test_shpp_rejects_non_semi_homogeneous():
     with pytest.raises(ValueError):
         SHPPSpec(2, ((0, 0), (0, 0)), ((1, 1), (1, 0.5)))
