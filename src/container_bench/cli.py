@@ -45,6 +45,7 @@ from . import __version__, serialize
 from .core import (
     WorkCapExceeded,
     bits_of,
+    check_edge_draw_cap,
     enumerate_independent_sets,
     mask_of,
 )
@@ -506,11 +507,15 @@ def _cmd_verify_edges_bound(args) -> int:
             raise CounterexampleFound({"verifier": "edges-bound", **summary})
         outcomes.append(summary)
     else:
+        if args.random < 1:
+            raise ValueError(f"--random must be at least 1, got {args.random}")
         if min(args.ell) < 2:
             raise ValueError(f"--ell arities must be at least 2, got {min(args.ell)}")
         if args.max_vertices < max(args.ell):
             raise ValueError(f"--max-vertices {args.max_vertices} is below the largest "
                              f"--ell arity {max(args.ell)}")
+        for ell in args.ell:  # the worst draw has n = --max-vertices
+            check_edge_draw_cap(args.max_vertices, ell)
         rng = make_rng(args.seed)
         attempt = 0
         while len(outcomes) < args.random:

@@ -17,9 +17,9 @@ vertex index, so traces are bit-for-bit deterministic.
 Memo: everything the generator computes on a hypergraph is kept in one
 `_GeneratorMemo` stored on that Hypergraph instance (attribute `_memo`, built
 on first use by `core.memo_of`).  It holds the incidence lists, exact
-deg_leq_n results keyed on (container mask, n, v, cap), each container's
-degree table keyed on (container mask, n, cap), and finished traces keyed on
-(independent-set mask, n, cap).  It holds no reference back to the
+deg_leq_n results keyed on (container mask, n, v), each container's degree
+table keyed on (container mask, n), and finished traces keyed on
+(independent-set mask, n).  It holds no reference back to the
 hypergraph, takes no part in ==, hash, repr or pickling, and is freed with
 the hypergraph; no state outlives the objects it describes.
 `build_hypergraph` returns the same Hypergraph for the same Csp, so a sweep
@@ -38,17 +38,15 @@ from typing import Callable, Optional
 
 from .core import (
     Hypergraph,
-    WorkCapExceeded,
     as_mask,
     bits_of,
+    check_partner_cap,
     is_independent,
     mask_of,
     memo_of,
 )
 from .csp import Csp, SatDistance, build_hypergraph, distance_to_sat, vars_of
 from .rationals import le_with_ln
-
-DEFAULT_RELEVANT_CAP = 24
 
 
 class NotFarError(ValueError):
@@ -140,7 +138,7 @@ def _cover_search(pmasks: tuple[int, ...], order: tuple[int, ...], budget: int,
 
 
 def _deg_leq_n_exact(q: int, incident: tuple[int, ...], c_mask: int,
-                     n_bound: int, v: int, cap: int) -> tuple[int, int]:
+                     n_bound: int, v: int) -> tuple[int, int]:
     """(value, witness_mask) for deg_leq_n; exact branch and bound over the
     edges `incident` to v."""
     c_size = c_mask.bit_count()
@@ -148,10 +146,7 @@ def _deg_leq_n_exact(q: int, incident: tuple[int, ...], c_mask: int,
     vbit = 1 << v
     pmasks = tuple(e & ~vbit for e in incident if e & ~c_mask == 0)
     partners = bits_of(reduce(or_, pmasks, 0))
-    if len(partners) > cap:
-        raise WorkCapExceeded(
-            f"deg_leq_n at vertex {v}: {len(partners)} relevant vertices exceed cap {cap}"
-        )
+    check_partner_cap(v, len(partners))
 
     if len(partners) <= budget:
         # Every partner fits: all masks are covered, and only by all partners.
@@ -189,37 +184,36 @@ class _GeneratorMemo:
                 by_vertex[v].append(e)
         self.q = h.q
         self.incidence = tuple(tuple(es) for es in by_vertex)
-        self.deg: dict[tuple[int, int, int, int], tuple[int, int]] = {}
-        self.tables: dict[tuple[int, int, int], dict[int, int]] = {}
-        self.traces: dict[tuple[int, int, int], tuple[SatIteration, ...]] = {}
+        self.deg: dict[tuple[int, int, int], tuple[int, int]] = {}
+        self.tables: dict[tuple[int, int], dict[int, int]] = {}
+        self.traces: dict[tuple[int, int], tuple[SatIteration, ...]] = {}
 
-    def deg_leq_n(self, c_mask: int, n_bound: int, v: int, cap: int) -> tuple[int, int]:
-        key = (c_mask, n_bound, v, cap)
+    def deg_leq_n(self, c_mask: int, n_bound: int, v: int) -> tuple[int, int]:
+        key = (c_mask, n_bound, v)
         hit = self.deg.get(key)
         if hit is None:
             hit = self.deg[key] = _deg_leq_n_exact(
-                self.q, self.incidence[v], c_mask, n_bound, v, cap)
+                self.q, self.incidence[v], c_mask, n_bound, v)
         return hit
 
-    def degree_table(self, c_mask: int, n_bound: int, cap: int) -> dict[int, int]:
+    def degree_table(self, c_mask: int, n_bound: int) -> dict[int, int]:
         """deg_leq_n value of every container member, in vertex order."""
-        key = (c_mask, n_bound, cap)
+        key = (c_mask, n_bound)
         table = self.tables.get(key)
         if table is None:
             table = self.tables[key] = {
-                w: self.deg_leq_n(c_mask, n_bound, w, cap)[0] for w in bits_of(c_mask)}
+                w: self.deg_leq_n(c_mask, n_bound, w)[0] for w in bits_of(c_mask)}
         return table
 
 
-def deg_leq_n(h: Hypergraph, container, n_bound: int, v: int,
-              cap: int = DEFAULT_RELEVANT_CAP) -> DegLeqNResult:
+def deg_leq_n(h: Hypergraph, container, n_bound: int, v: int) -> DegLeqNResult:
     """Exact max degree of v over (<=n_bound)-subsets of the container."""
     if n_bound < 1:
         raise ValueError(f"subgraph bound {n_bound} must be at least 1")
     c_mask = as_mask(container, h.n)
     if not (c_mask >> v) & 1:
         raise ValueError(f"vertex {v} is not in the container")
-    value, witness = memo_of(h, _GeneratorMemo).deg_leq_n(c_mask, n_bound, v, cap)
+    value, witness = memo_of(h, _GeneratorMemo).deg_leq_n(c_mask, n_bound, v)
     return DegLeqNResult(value, bits_of(witness))
 
 
@@ -279,8 +273,7 @@ class ContainerTrace:
         return len(self.iterations)
 
 
-def run_generator(h: Hypergraph, n_bound: int, independent_set,
-                  deg_cap: int = DEFAULT_RELEVANT_CAP) -> ContainerTrace:
+def run_generator(h: Hypergraph, n_bound: int, independent_set) -> ContainerTrace:
     """Run the fingerprint & container generator on an independent set."""
     i_mask = as_mask(independent_set, h.n)
     if not is_independent(h, i_mask):
@@ -289,7 +282,7 @@ def run_generator(h: Hypergraph, n_bound: int, independent_set,
         raise ValueError(f"subgraph bound {n_bound} must satisfy 1 <= n < {h.n}")
 
     memo = memo_of(h, _GeneratorMemo)
-    key = (i_mask, n_bound, deg_cap)
+    key = (i_mask, n_bound)
     done = memo.traces.get(key)
     if done is not None:
         return ContainerTrace(h, n_bound, bits_of(i_mask), done)
@@ -300,11 +293,11 @@ def run_generator(h: Hypergraph, n_bound: int, independent_set,
     t = 0
     while i_mask & ~f_mask:
         t += 1
-        values = memo.degree_table(c_mask, n_bound, deg_cap)
+        values = memo.degree_table(c_mask, n_bound)
         # max keeps the first maximum, so ties go to the smallest index.
         v_q = max(bits_of(i_mask & ~f_mask), key=values.__getitem__)
         x_q = tuple(w for w in values if values[w] > values[v_q])
-        witness_mask = memo.deg_leq_n(c_mask, n_bound, v_q, deg_cap)[1]
+        witness_mask = memo.deg_leq_n(c_mask, n_bound, v_q)[1]
 
         vbit = 1 << v_q
         level_v = witness_mask & ~vbit
@@ -385,12 +378,11 @@ class ClosureOutcome:
     iteration_count: int
 
 
-def check_closure(h: Hypergraph, n_bound: int, independent_set,
-                  deg_cap: int = DEFAULT_RELEVANT_CAP) -> ClosureOutcome:
+def check_closure(h: Hypergraph, n_bound: int, independent_set) -> ClosureOutcome:
     """Rerun the generator on every fingerprint prefix and compare containers."""
-    trace = run_generator(h, n_bound, independent_set, deg_cap)
+    trace = run_generator(h, n_bound, independent_set)
     for t in range(1, trace.iteration_count + 1):
-        sub = run_generator(h, n_bound, trace.fingerprint_at(t), deg_cap)
+        sub = run_generator(h, n_bound, trace.fingerprint_at(t))
         if sub.container_at(t) != trace.container_at(t):
             return ClosureOutcome(False, t, trace.iteration_count)
     return ClosureOutcome(True, None, trace.iteration_count)
@@ -436,8 +428,7 @@ class ContainerDegreeOutcome:
     records: tuple[ContainerDegreeRecord, ...]
 
 
-def check_container_degree(trace: ContainerTrace, k: int, n: int,
-                           deg_cap: int = DEFAULT_RELEVANT_CAP) -> ContainerDegreeOutcome:
+def check_container_degree(trace: ContainerTrace, k: int, n: int) -> ContainerDegreeOutcome:
     """Per-iteration container degree bound (2kq/t) * C(n-1, q-1), with the
     tighter 2k(q-1)/t constant recorded alongside."""
     h = trace.hypergraph
@@ -448,7 +439,7 @@ def check_container_degree(trace: ContainerTrace, k: int, n: int,
     records = []
     memo = memo_of(h, _GeneratorMemo)
     for t in range(1, trace.iteration_count + 1):
-        table = memo.degree_table(mask_of(trace.container_at(t)), n, deg_cap)
+        table = memo.degree_table(mask_of(trace.container_at(t)), n)
         max_deg = max(table.values(), default=0)
         bound = Fraction(2 * k * q, t) * coeff
         tighter = Fraction(2 * k * (q - 1), t) * coeff
@@ -488,8 +479,7 @@ class GclSatOutcome:
 
 
 def verify_gcl_sat(csp: Csp, epsilon: Fraction, independent_set,
-                   distance: Optional[SatDistance] = None,
-                   deg_cap: int = DEFAULT_RELEVANT_CAP) -> GclSatOutcome:
+                   distance: Optional[SatDistance] = None) -> GclSatOutcome:
     epsilon = Fraction(epsilon)
     if not 0 < epsilon < 1:
         raise ValueError("epsilon must lie in (0, 1)")
@@ -507,7 +497,7 @@ def verify_gcl_sat(csp: Csp, epsilon: Fraction, independent_set,
         raise ValueError("input vertex set is not variable-distinct")
 
     k, q, n = csp.k, csp.q, csp.n
-    trace = run_generator(h, n, i_mask, deg_cap)
+    trace = run_generator(h, n, i_mask)
     t_max = (8 * k * q / epsilon).__floor__()
     ln_arg = k * q / epsilon
     scale = 4 * k * q * q

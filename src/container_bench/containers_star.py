@@ -34,10 +34,9 @@ from typing import Optional
 
 from .core import (
     Graph,
-    WorkCapExceeded,
     as_mask,
     bits_of,
-    comb_exceeds,
+    check_subset_cap,
     is_independent,
     mask_of,
     memo_of,
@@ -204,11 +203,7 @@ class RhoDistance:
         return self.distance >= epsilon
 
 
-DEFAULT_SUBSET_CAP = 10_000_000
-
-
-def distance_to_rho_is(g: Graph, rho: Fraction,
-                       cap: int = DEFAULT_SUBSET_CAP) -> RhoDistance:
+def distance_to_rho_is(g: Graph, rho: Fraction) -> RhoDistance:
     """Exact `RhoDistance` of g for rho, by branch and bound over the subsets
     of size target = ceil(rho*n) in `itertools.combinations` order.
 
@@ -226,7 +221,7 @@ def distance_to_rho_is(g: Graph, rho: Fraction,
     a pruned subtree holds no subset with fewer edges than the incumbent,
     and the witness is the one plain enumeration finds.  A node with slack
     == 0 finishes its single leaf in a loop, not by recursion.  Raises
-    WorkCapExceeded when C(n, target) exceeds cap.
+    WorkCapExceeded when C(n, target) exceeds the subset cap.
     """
     rho = Fraction(rho)
     if not 0 < rho <= 1:
@@ -235,10 +230,7 @@ def distance_to_rho_is(g: Graph, rho: Fraction,
     target = ceil_frac(rho * n)
     if target == 0:
         return RhoDistance(0, Fraction(0), (), 0)
-    if comb_exceeds(n, target, cap):
-        raise WorkCapExceeded(
-            f"C({n},{target}) subsets exceed the enumeration cap {cap}"
-        )
+    check_subset_cap(n, target)
 
     best = math.comb(target, 2) + 1
     best_mask = 0

@@ -9,19 +9,26 @@ A memo derived from an instance (the hypergraph container generator's on a
 Hypergraph and the star generator's on a Graph, both through `memo_of`, and
 the CSP's hypergraph encoding) is kept in an underscore attribute of that
 instance: it never changes a result, takes no part in ==, hash or repr, is
-not pickled, and is freed with the instance.
+not pickled, and is freed with the instance.  Its keys hold no work cap: a
+cap only refuses work, before it starts, and a refusal stores nothing.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional, Union
+from typing import Iterable, Iterator, NoReturn, Optional, Union
 
-DEFAULT_ENUMERATION_CAP = 30
+# Every work cap of the package, each in its cost unit.  Only the checks below
+# read them, at call time, so rebinding one moves every search it bounds.
+ENUMERATION_CAP = 30  # host vertices: independent-set enumeration
+ASSIGNMENT_CAP = 1 << 24  # k^n assignments: is_satisfiable, distance_to_sat
+PARTNER_CAP = 24  # partners of v, the vertices sharing an edge with it: deg_leq_n
+SUBSET_CAP = 10_000_000  # C(n, m) subsets: distance_to_rho_is, the graph testers
+EDGE_DRAW_CAP = 150_000  # C(n, ell) candidate edges: a verify edges-bound --random draw
 
 
 class WorkCapExceeded(RuntimeError):
-    """An exhaustive operation was asked to exceed its configured work cap."""
+    """An exhaustive operation was asked to exceed its work cap."""
 
 
 def comb_exceeds(n: int, k: int, cap: int) -> bool:
@@ -34,6 +41,35 @@ def comb_exceeds(n: int, k: int, cap: int) -> bool:
         if c > cap:
             return True
     return c > cap
+
+
+def _refuse(amount: str, name: str, cap: int) -> NoReturn:
+    raise WorkCapExceeded(f"{amount} exceeds the {name} cap {cap}")
+
+
+def check_enumeration_cap(n: int) -> None:
+    if n > ENUMERATION_CAP:
+        _refuse(f"n = {n}", "enumeration", ENUMERATION_CAP)
+
+
+def check_assignment_cap(k: int, n: int) -> None:
+    if k**n > ASSIGNMENT_CAP:
+        _refuse(f"k^n = {k}^{n}", "assignment", ASSIGNMENT_CAP)
+
+
+def check_partner_cap(v: int, partners: int) -> None:
+    if partners > PARTNER_CAP:
+        _refuse(f"partners of vertex {v} = {partners}", "partner", PARTNER_CAP)
+
+
+def check_subset_cap(n: int, m: int) -> None:
+    if comb_exceeds(n, m, SUBSET_CAP):
+        _refuse(f"C(n, m) = C({n},{m})", "subset", SUBSET_CAP)
+
+
+def check_edge_draw_cap(n: int, ell: int) -> None:
+    if comb_exceeds(n, ell, EDGE_DRAW_CAP):
+        _refuse(f"C(n, ell) = C({n},{ell})", "edge-draw", EDGE_DRAW_CAP)
 
 
 def memo_free_state(obj) -> dict:
@@ -269,19 +305,15 @@ def enumerate_independent_sets(
     host: Host,
     size: Optional[int] = None,
     variable_distinct: bool = False,
-    cap: int = DEFAULT_ENUMERATION_CAP,
 ) -> Iterator[tuple[int, ...]]:
     """Yield independent sets as sorted tuples, in lexicographic order.
 
     size filters to sets of exactly that cardinality; variable_distinct
     (labelled hypergraphs only) keeps sets whose vertices label pairwise
-    distinct variables.  Enumeration refuses hosts above the vertex cap.
+    distinct variables.  Enumeration refuses hosts above the enumeration cap.
     """
     n = host.n
-    if n > cap:
-        raise WorkCapExceeded(
-            f"independent-set enumeration refused: {n} vertices exceeds cap {cap}"
-        )
+    check_enumeration_cap(n)
     labels = None
     if variable_distinct:
         if isinstance(host, Graph) or host.labels is None:

@@ -9,8 +9,8 @@ distance are decided by exhaustive search so they can serve as trusted
 oracles: backtracking with early exit, and a sweep over all assignments in
 bounded numpy chunks that counts falsified constraints in integers through
 per-constraint lookup tables and returns the first minimum in
-itertools.product order.  Both enforce an explicit work cap with a hard
-error, never silent truncation.
+itertools.product order.  Both refuse work past core's assignment cap with
+a hard error, never silent truncation.
 """
 
 from __future__ import annotations
@@ -23,9 +23,8 @@ from typing import Iterable, Mapping, Optional
 
 import numpy as np
 
-from .core import Hypergraph, WorkCapExceeded, bits_of, mask_of, memo_free_state
+from .core import Hypergraph, bits_of, check_assignment_cap, mask_of, memo_free_state
 
-DEFAULT_ASSIGNMENT_CAP = 1 << 24
 _FIRST_CHUNK = 64
 _MAX_CHUNK = 1 << 14
 
@@ -139,39 +138,28 @@ class SatResult:
     witness: Optional[dict[int, int]]
 
 
-def check_assignment_cap(k: int, n: int, cap: int = DEFAULT_ASSIGNMENT_CAP) -> None:
-    """WorkCapExceeded when the k^n assignments of n variables exceed cap."""
-    if k**n > cap:
-        raise WorkCapExceeded(f"k^n = {k}^{n} exceeds the assignment cap {cap}")
-
-
-def is_satisfiable(csp: Csp, cap: int = DEFAULT_ASSIGNMENT_CAP) -> SatResult:
-    """Exhaustive satisfiability with a satisfying witness when one exists."""
-    check_assignment_cap(csp.k, csp.n, cap)
-    by_last: list[list[Constraint]] = [[] for _ in range(csp.n)]
+def is_satisfiable(csp: Csp) -> SatResult:
+    """Exhaustive satisfiability, backtracking in one loop; the witness is the
+    first satisfying assignment in itertools.product order."""
+    n, k = csp.n, csp.k
+    check_assignment_cap(k, n)
+    by_last: list[list[Constraint]] = [[] for _ in range(n)]
     for c in csp.constraints:
         by_last[c.scope[-1]].append(c)
-    values = [0] * csp.n
-
-    def backtrack(depth: int) -> bool:
-        if depth == csp.n:
-            return True
-        for a in range(csp.k):
-            values[depth] = a
-            ok = True
-            for c in by_last[depth]:
-                if tuple(values[i] for i in c.scope) in c.falsifying_set:
-                    ok = False
-                    break
-            if ok and backtrack(depth + 1):
-                return True
-        return False
-
-    if csp.n == 0:
-        return SatResult(True, {})
-    if backtrack(0):
-        return SatResult(True, {i: values[i] for i in range(csp.n)})
-    return SatResult(False, None)
+    values = [-1] * n  # -1: no value tried yet at this depth
+    depth = 0
+    while 0 <= depth < n:
+        values[depth] += 1
+        if values[depth] == k:
+            values[depth] = -1
+            depth -= 1
+            continue
+        for c in by_last[depth]:
+            if tuple(values[i] for i in c.scope) in c.falsifying_set:
+                break
+        else:
+            depth += 1
+    return SatResult(True, dict(enumerate(values))) if depth == n else SatResult(False, None)
 
 
 @dataclass(frozen=True)
@@ -203,7 +191,7 @@ def _falsified_table(c: Constraint, k: int) -> np.ndarray:
     return table
 
 
-def distance_to_sat(csp: Csp, cap: int = DEFAULT_ASSIGNMENT_CAP) -> SatDistance:
+def distance_to_sat(csp: Csp) -> SatDistance:
     """Exact distance to satisfiability by a sweep over all k^n assignments.
 
     Assignments are numbered in itertools.product order, variable 0 being the
@@ -214,11 +202,11 @@ def distance_to_sat(csp: Csp, cap: int = DEFAULT_ASSIGNMENT_CAP) -> SatDistance:
     is O(n * _MAX_CHUNK) whatever the number of constraints.  The witness is
     the first assignment in that order attaining the minimum (np.argmin within
     a chunk, a strict < across chunks); the sweep stops at the first
-    satisfying assignment.  At the default cap (2^24 assignments) a sweep of
+    satisfying assignment.  At the assignment cap (2^24 assignments) a sweep of
     n=24, k=2, q=2 with 43 constraints takes 6-7 s on a 2-core host.
     """
     n, k = csp.n, csp.k
-    check_assignment_cap(k, n, cap)
+    check_assignment_cap(k, n)
     total = k**n
     places = [k ** (n - 1 - x) for x in range(n)]
     weights = [k ** (csp.q - 1 - i) for i in range(csp.q)]

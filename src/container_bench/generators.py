@@ -123,20 +123,19 @@ def gen_random_hypergraph(n: int, q: int, edge_density: Fraction, seed: int,
     return Hypergraph.from_edges(q, n, edges, labels)
 
 
-def certify_far(instance, epsilon: Fraction, rho: Optional[Fraction] = None,
-                cap: Optional[int] = None) -> Optional[FarCertificate]:
+def certify_far(instance, epsilon: Fraction,
+                rho: Optional[Fraction] = None) -> Optional[FarCertificate]:
     """Wrap the exact distance oracles; a certificate exists iff the distance
     is at least epsilon.  Returns None when the instance is not that far."""
     epsilon = Fraction(epsilon)
-    caps = {"cap": cap} if cap else {}
     if isinstance(instance, Csp):
-        kind, dist = "csp", distance_to_sat(instance, **caps)
+        kind, dist = "csp", distance_to_sat(instance)
         min_edits, params = dist.min_falsified, {"oracle": "distance_to_sat"}
     elif isinstance(instance, Graph):
         if rho is None:
             raise ValueError("graph certification requires rho")
         rho = Fraction(rho)
-        kind, dist = "graph", distance_to_rho_is(instance, rho, **caps)
+        kind, dist = "graph", distance_to_rho_is(instance, rho)
         min_edits = dist.min_edits
         params = {"oracle": "distance_to_rho_is", "rho": format_rational(rho)}
     else:

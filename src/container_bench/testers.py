@@ -3,7 +3,7 @@ testing via reduction to satisfiability, the two-sample independent-set-star
 tester, and the canonical independent-set baseline.
 
 TesterSpec.of binds a tester for a run, once: it reads the options, derives
-the sample sizes, reads the k^s cap and builds a color or shpp reduction.
+the sample sizes, checks the k^s cap and builds a color or shpp reduction.
 run_tester, one trial, is the one dispatch over tester kinds: sat, color and
 shpp all run canonical_sat_tester, and a color or shpp report is relabelled.
 
@@ -22,12 +22,10 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .core import Graph, Hypergraph, WorkCapExceeded, bits_of, comb_exceeds, mask_of
-from .csp import Csp, check_assignment_cap, is_satisfiable, restrict
+from .core import Graph, Hypergraph, bits_of, check_assignment_cap, check_subset_cap, mask_of
+from .csp import Csp, is_satisfiable, restrict
 from .rationals import ceil_frac, least_int, sign_with_ln
 from .rng import GENERATOR_NAME, make_rng, sample_without_replacement
-
-DEFAULT_SEARCH_CAP = 10_000_000
 
 
 def _derived_size(name: str, at_least, n: int) -> int:
@@ -250,8 +248,7 @@ def has_independent_set_of_size(adj: Sequence[int], candidates: int,
 
 
 def star_tester(graph: Graph, params: StarTesterParams,
-                rng: np.random.Generator, seed: int = 0,
-                search_cap: int = DEFAULT_SEARCH_CAP) -> TesterReport:
+                rng: np.random.Generator, seed: int = 0) -> TesterReport:
     """Draw a core sample R and a body sample S; query all pairs inside R and
     all R x S pairs; accept iff some independent core I of size ceil(rho r)
     inside R leaves at least ceil(rho s) vertices of S with no edge into it
@@ -271,10 +268,7 @@ def star_tester(graph: Graph, params: StarTesterParams,
 
     m_core = ceil_frac(params.rho * r)
     m_body = ceil_frac(params.rho * s)
-    if comb_exceeds(r, m_core, search_cap):
-        raise WorkCapExceeded(
-            f"C({r},{m_core}) core subsets exceed the search cap {search_cap}"
-        )
+    check_subset_cap(r, m_core)
 
     counted = QueryCountingGraph(graph)
     core_list = sorted(core)
@@ -332,18 +326,14 @@ def star_tester(graph: Graph, params: StarTesterParams,
 
 
 def canonical_is_tester(graph: Graph, rho: Fraction, sample_size: int,
-                        rng: np.random.Generator, seed: int = 0,
-                        search_cap: int = DEFAULT_SEARCH_CAP) -> TesterReport:
+                        rng: np.random.Generator, seed: int = 0) -> TesterReport:
     """Baseline: sample vertices, query every pair among them, accept iff the
     induced subgraph has an independent set on ceil(rho * |S|) vertices."""
     n = graph.n
     if not 1 <= sample_size <= n:
         raise ValueError(f"sample size {sample_size} must lie in [1, {n}]")
     target = ceil_frac(Fraction(rho) * sample_size)
-    if comb_exceeds(sample_size, target, search_cap):
-        raise WorkCapExceeded(
-            f"C({sample_size},{target}) subsets exceed the search cap {search_cap}"
-        )
+    check_subset_cap(sample_size, target)
     sample = sample_without_replacement(rng, n, sample_size)
     counted = QueryCountingGraph(graph)
     sample_list = sorted(sample)
@@ -387,7 +377,7 @@ class TesterSpec:
         """Bind the named tester to instance.  options holds its params'
         fields by name, plus k for color, the SHPPSpec as spec for shpp, and
         rho and s for canonical-is.  sat, color and shpp establish k >= 1,
-        resolve s, read the k^s assignment cap, then reduce."""
+        resolve s, check the k^s assignment cap, then reduce."""
         if kind == "indepset":
             params = _params_of(StarTesterParams, options)
             r, s = params.resolve(instance.n)

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from container_bench import serialize
+from container_bench import core, serialize
 from container_bench.cli import main
 
 
@@ -210,6 +210,46 @@ def test_verify_edges_bound_random(tmp_path):
 def test_edges_bound_misuse_names_the_option(capsys, argv, message):
     assert run_cli("verify", "edges-bound", "--random", "3", *argv) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("count", ["-1", "0"])
+def test_edges_bound_needs_at_least_one_random_instance(capsys, count):
+    assert run_cli("verify", "edges-bound", "--random", count) == 2
+    assert capsys.readouterr().err == f"error: --random must be at least 1, got {count}\n"
+
+
+_GRAPH_40 = ("gen-graph", "--n", "40")
+
+
+@pytest.mark.parametrize("gen, argv, cap, amount", [
+    (("gen-graph", "--n", "31"), ("containers-star", "--graph", "IN", "--all-independent-sets"),
+     "ENUMERATION_CAP", "n = 31"),
+    (("gen-csp", "--n", "16", "--k", "3", "--q", "2"), ("dist-csp", "--csp", "IN"),
+     "ASSIGNMENT_CAP", "k^n = 3^16"),
+    (("gen-csp", "--n", "10", "--k", "3", "--q", "2", "--constraint-density", "1",
+      "--falsifying-density", "1"), ("containers-sat", "--csp", "IN", "--independent-set", "0"),
+     "PARTNER_CAP", "partners of vertex 0 = 27"),
+    (_GRAPH_40, ("certify", "--graph", "IN", "--rho", "1/2", "--epsilon", "1/4"),
+     "SUBSET_CAP", "C(n, m) = C(40,20)"),
+    (_GRAPH_40, ("test", "indepset", "--graph", "IN", "--rho", "1/2", "--epsilon", "1/4",
+                 "--r", "30", "--s", "30", "--seed", "1"), "SUBSET_CAP", "C(n, m) = C(30,15)"),
+    (_GRAPH_40, ("test", "canonical-is", "--graph", "IN", "--rho", "1/2", "--s", "30",
+                 "--seed", "1"), "SUBSET_CAP", "C(n, m) = C(30,15)"),
+    ((), ("verify", "edges-bound", "--random", "1", "--ell", "2", "--max-vertices", "549"),
+     "EDGE_DRAW_CAP", "C(n, ell) = C(549,2)"),
+], ids=["enumeration", "assignment", "partner", "subset-certify", "subset-indepset",
+        "subset-canonical-is", "edge-draw"])
+def test_each_work_cap_refuses_by_name(tmp_path, capsys, gen, argv, cap, amount):
+    """A CLI line that reaches each cap exits 2 before the search starts, and
+    the message names the cap as core states it."""
+    path = tmp_path / "instance.json"
+    if gen:
+        assert run_cli(*gen, "--seed", "1", "--out", str(path)) == 0
+    capsys.readouterr()
+    assert run_cli(*(str(path) if arg == "IN" else arg for arg in argv)) == 2
+    name = cap.removesuffix("_CAP").lower().replace("_", "-")
+    assert capsys.readouterr().err == \
+        f"error: {amount} exceeds the {name} cap {getattr(core, cap)}\n"
 
 
 def test_verify_gcl_star_and_shrinking(tmp_path):

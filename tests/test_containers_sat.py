@@ -22,6 +22,7 @@ from container_bench import (
     run_generator,
     verify_gcl_sat,
 )
+from container_bench import core
 from container_bench.core import bits_of, mask_of
 from container_bench.generators import gen_random_hypergraph
 
@@ -80,11 +81,12 @@ def test_deg_rejects_a_bound_below_one(n_bound):
     assert deg_leq_n(h, range(3), 1, 0).value == 0
 
 
-def test_deg_relevant_cap():
+def test_deg_relevant_cap(monkeypatch):
     edges = [(0, i, j) for i in range(1, 6) for j in range(i + 1, 7)]
     h = Hypergraph.from_edges(3, 7, edges)
+    monkeypatch.setattr(core, "PARTNER_CAP", 3)
     with pytest.raises(WorkCapExceeded):
-        deg_leq_n(h, range(7), 4, 0, cap=3)
+        deg_leq_n(h, range(7), 4, 0)
 
 
 @pytest.mark.parametrize("seed", range(12))
@@ -405,12 +407,19 @@ def _fresh(h: Hypergraph) -> Hypergraph:
     return Hypergraph(h.q, h.n, h.edges, h.labels)
 
 
-def test_memo_keeps_the_cap_in_its_key():
+def test_a_refusal_writes_no_memo_entry(monkeypatch):
+    """A cap is not part of a memo key: a refused call stores nothing, so the
+    same call under a larger cap computes its entry."""
     edges = [(0, i, j) for i in range(1, 6) for j in range(i + 1, 7)]
     h = Hypergraph.from_edges(3, 7, edges)
-    assert deg_leq_n(h, range(7), 4, 0).value == oracle_deg_leq_n(h, range(7), 4, 0)
+    monkeypatch.setattr(core, "PARTNER_CAP", 3)
     with pytest.raises(WorkCapExceeded):
-        deg_leq_n(h, range(7), 4, 0, cap=3)
+        deg_leq_n(h, range(7), 4, 0)
+    with pytest.raises(WorkCapExceeded):
+        run_generator(h, 4, (1,))
+    assert (h._memo.deg, h._memo.tables, h._memo.traces) == ({}, {}, {})
+    monkeypatch.undo()
+    assert deg_leq_n(h, range(7), 4, 0).value == oracle_deg_leq_n(h, range(7), 4, 0)
 
 
 def test_memo_keeps_the_bound_in_its_key():

@@ -25,6 +25,7 @@ from container_bench.containers_star import (
     StarBounds,
     _bullet_threshold,
 )
+from container_bench import core
 from container_bench.core import WorkCapExceeded, as_mask, bits_of, mask_of
 from container_bench.rationals import ceil_frac, le_with_ln, sign_with_ln
 from hypothesis import assume, given, settings
@@ -366,10 +367,11 @@ def test_bounded_distance_matches_plain_enumeration():
             (seed, n, kind, rho)
 
 
-def test_distance_cap():
+def test_distance_cap(monkeypatch):
     g = Graph.from_edges(24, [])
+    monkeypatch.setattr(core, "SUBSET_CAP", 100)
     with pytest.raises(WorkCapExceeded):
-        distance_to_rho_is(g, Fraction(1, 2), cap=100)
+        distance_to_rho_is(g, Fraction(1, 2))
 
 
 def test_distance_cap_refuses_a_huge_graph_at_once():

@@ -14,6 +14,7 @@ from container_bench import (
     induced_subgraph,
     is_independent,
 )
+from container_bench import core
 from container_bench.core import as_mask, bits_of, comb_exceeds, mask_of
 
 from conftest import oracle_independent_sets
@@ -111,11 +112,12 @@ def test_enumerate_lexicographic_order():
         (), (0,), (0, 1), (0, 2), (1,), (2,)]
 
 
-def test_enumerate_cap():
+def test_enumerate_cap(monkeypatch):
     g = Graph.from_edges(31, [])
     with pytest.raises(WorkCapExceeded):
         list(enumerate_independent_sets(g))
-    assert len(list(enumerate_independent_sets(g, size=0, cap=31))) == 1
+    monkeypatch.setattr(core, "ENUMERATION_CAP", 31)
+    assert len(list(enumerate_independent_sets(g, size=0))) == 1
 
 
 @pytest.mark.parametrize("exhaust", [True, False])

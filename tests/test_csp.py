@@ -18,7 +18,9 @@ from container_bench import (
     restrict,
     vars_of,
 )
+from container_bench import core
 from container_bench.core import bits_of, mask_of
+from container_bench.csp import SatResult
 
 from conftest import oracle_min_falsified
 
@@ -63,10 +65,61 @@ def test_is_satisfiable_trivial_cases(nae_csp):
     assert res.witness == {0: 0, 1: 0, 2: 1}
 
 
-def test_is_satisfiable_cap():
+def test_is_satisfiable_cap(monkeypatch):
     big = Csp.of(30, 3, 2, [])
+    monkeypatch.setattr(core, "ASSIGNMENT_CAP", 1 << 10)
     with pytest.raises(WorkCapExceeded):
-        is_satisfiable(big, cap=1 << 10)
+        is_satisfiable(big)
+
+
+def recursive_is_satisfiable(csp: Csp) -> SatResult:
+    """The recursive backtracking is_satisfiable had, one level per variable,
+    kept as the reference for the loop that replaced it."""
+    by_last = [[] for _ in range(csp.n)]
+    for c in csp.constraints:
+        by_last[c.scope[-1]].append(c)
+    values = [0] * csp.n
+
+    def backtrack(depth: int) -> bool:
+        if depth == csp.n:
+            return True
+        for a in range(csp.k):
+            values[depth] = a
+            ok = all(tuple(values[i] for i in c.scope) not in c.falsifying_set
+                     for c in by_last[depth])
+            if ok and backtrack(depth + 1):
+                return True
+        return False
+
+    if csp.n == 0:
+        return SatResult(True, {})
+    if backtrack(0):
+        return SatResult(True, {i: values[i] for i in range(csp.n)})
+    return SatResult(False, None)
+
+
+@pytest.mark.parametrize("block", range(4))
+def test_is_satisfiable_matches_the_recursive_search(block):
+    """300 seeded CSPs per block, k = 1 included, and the restriction of each
+    to a random sample, as the canonical tester asks."""
+    for seed in range(300 * block, 300 * block + 300):
+        rnd = random.Random(seed)
+        n, k, q = rnd.randrange(11), 1 + seed % 3, 1 + rnd.randrange(3)
+        if seed % 2:
+            csp = gen_planted_sat_csp(n, k, q, Fraction(rnd.randrange(11), 10), seed)[0]
+        else:
+            csp = gen_random_csp(n, k, q, Fraction(rnd.randrange(11), 10),
+                                 Fraction(rnd.randrange(5), 10), seed)
+        sample = restrict(csp, rnd.sample(range(n), rnd.randrange(n + 1))).csp
+        for instance in (csp, sample):
+            assert is_satisfiable(instance) == recursive_is_satisfiable(instance), seed
+
+
+def test_is_satisfiable_is_not_bounded_by_the_recursion_limit():
+    """k = 1 passes every assignment cap, so only a loop reaches n = 5000."""
+    assert is_satisfiable(Csp(5000, 1, 2, ())) == SatResult(True, dict.fromkeys(range(5000), 0))
+    chain = Csp.of(3000, 1, 2, [((x, x + 1), []) for x in range(2999)] + [((0, 2999), [(0, 0)])])
+    assert is_satisfiable(chain) == SatResult(False, None)
 
 
 def test_distance_examples(triangle_csp, nae_csp):
@@ -259,8 +312,11 @@ def test_distance_finds_a_satisfying_assignment_beyond_the_first_chunk(n, k, ind
             n, k, 2, [(c.scope, c.falsifying) for c in planted.constraints] + pins))
 
 
-def test_distance_cap_boundary():
+def test_distance_cap_boundary(monkeypatch):
     csp = gen_random_csp(7, 3, 2, Fraction(1, 2), Fraction(1, 3), 5)
-    assert distance_to_sat(csp, cap=3**7) == distance_to_sat(csp)
+    uncapped = distance_to_sat(csp)
+    monkeypatch.setattr(core, "ASSIGNMENT_CAP", 3**7)
+    assert distance_to_sat(csp) == uncapped
+    monkeypatch.setattr(core, "ASSIGNMENT_CAP", 3**7 - 1)
     with pytest.raises(WorkCapExceeded, match=r"^k\^n = 3\^7 exceeds the assignment cap 2186$"):
-        distance_to_sat(csp, cap=3**7 - 1)
+        distance_to_sat(csp)
