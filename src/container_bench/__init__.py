@@ -16,13 +16,11 @@ from .core import (
 from .csp import (
     Constraint,
     Csp,
-    Restriction,
     assignment_of_vertex_set,
     assignment_vertex_set,
     build_hypergraph,
     distance_to_sat,
     is_satisfiable,
-    restrict,
     vars_of,
 )
 from .containers_sat import (

@@ -34,6 +34,7 @@ from typing import Optional
 
 from .core import (
     Graph,
+    argmax_degree,
     as_mask,
     bits_of,
     check_subset_cap,
@@ -112,22 +113,6 @@ def run_star_generator(g: Graph, independent_set) -> StarContainerTrace:
     return StarContainerTrace(g, bits_of(i_mask), iterations)
 
 
-def _argmax_degree(adj: tuple[int, ...], candidates: int,
-                   within: int) -> tuple[int, int]:
-    """(w, degree of w into within) for the candidate of largest degree; the
-    walk goes up the mask and only a strictly larger degree replaces, so ties
-    break to the smallest index."""
-    best = best_deg = -1
-    while candidates:
-        low = candidates & -candidates
-        candidates ^= low
-        w = low.bit_length() - 1
-        deg = (adj[w] & within).bit_count()
-        if deg > best_deg:
-            best, best_deg = w, deg
-    return best, best_deg
-
-
 def _star_iterations(adj: tuple[int, ...], n: int,
                      i_mask: int) -> tuple[StarIteration, ...]:
     f_mask = 0
@@ -137,14 +122,14 @@ def _star_iterations(adj: tuple[int, ...], n: int,
     while i_mask & ~f_mask:
         t += 1
         remaining = i_mask & ~f_mask
-        u, c_deg_u = _argmax_degree(adj, remaining, c_mask)
+        u, c_deg_u = argmax_degree(adj, remaining, c_mask)
         picked = 1 << u
         neighbours = adj[u]
         v: Optional[int] = None
         # With no v, no degree into D exceeds n: only the C test can exclude.
         d_deg_v = n
         if remaining & ~picked:
-            v, d_deg_v = _argmax_degree(adj, remaining & ~picked, d_mask)
+            v, d_deg_v = argmax_degree(adj, remaining & ~picked, d_mask)
             picked |= 1 << v
             neighbours |= adj[v]
 
@@ -219,9 +204,10 @@ def distance_to_rho_is(g: Graph, rho: Fraction) -> RhoDistance:
     T of size need keeps at least |N(w) & R| - slack of each member's
     R-neighbours inside T, so 2*e(S + T) >= 2*count + sum over T of 2*f(w):
     a pruned subtree holds no subset with fewer edges than the incumbent,
-    and the witness is the one plain enumeration finds.  A node with slack
-    == 0 finishes its single leaf in a loop, not by recursion.  Raises
-    WorkCapExceeded when C(n, target) exceeds the subset cap.
+    and the witness is the one plain enumeration finds.  The search is one
+    loop over an explicit stack, so no recursion limit bounds its depth, and
+    a node with slack == 0 finishes its single leaf in an inner loop.
+    Raises WorkCapExceeded when C(n, target) exceeds the subset cap.
     """
     rho = Fraction(rho)
     if not 0 < rho <= 1:
@@ -237,38 +223,38 @@ def distance_to_rho_is(g: Graph, rho: Fraction) -> RhoDistance:
     adj = g.adj
     full = (1 << n) - 1
 
-    def rec(start: int, chosen: int, size: int, count: int) -> None:
-        nonlocal best, best_mask
+    stack = [(0, 0, 0, 0)]  # (start, chosen, size, count) of each node to visit
+    while stack and best:
+        start, chosen, size, count = stack.pop()
         if count >= best:
-            return
+            continue
         need = target - size
         if need == 0:
             best, best_mask = count, chosen
-            return
+            continue
         slack = n - start - need
-        if not slack:  # the one leaf takes every vertex left, in a loop
+        if not slack:  # the one leaf takes every vertex left
             for v in range(start, n):
                 count += (adj[v] & chosen).bit_count()
                 chosen |= 1 << v
                 if count >= best:
-                    return
-            best, best_mask = count, chosen
-            return
+                    break
+            else:
+                best, best_mask = count, chosen
+            continue
         rest = full >> start << start
         twice_f = sorted([
             2 * (a & chosen).bit_count()
             + (d - slack if (d := (a & rest).bit_count()) > slack else 0)
             for a in adj[start:]])
         if 2 * count + sum(twice_f[:need]) >= 2 * best:
-            return
-        # Children stop where too few vertices are left to finish the subset.
-        for v in range(start, start + slack + 1):
-            rec(v + 1, chosen | 1 << v, size + 1,
-                count + (adj[v] & chosen).bit_count())
-            if best == 0:
-                return
+            continue
+        # Children stop where too few vertices are left to finish the subset;
+        # pushed last to first, they are visited in combinations order.
+        for v in range(start + slack, start - 1, -1):
+            stack.append((v + 1, chosen | 1 << v, size + 1,
+                          count + (adj[v] & chosen).bit_count()))
 
-    rec(0, 0, 0, 0)
     return RhoDistance(best, Fraction(best, n * n), bits_of(best_mask), target)
 
 

@@ -105,6 +105,22 @@ def bits_of(mask: int) -> tuple[int, ...]:
     return tuple(out)
 
 
+def argmax_degree(adj: tuple[int, ...], candidates: int,
+                  within: int) -> tuple[int, int]:
+    """(w, degree of w into within) for the candidate of largest degree; the
+    walk goes up the mask and only a strictly larger degree replaces, so ties
+    break to the smallest index."""
+    best = best_deg = -1
+    while candidates:
+        low = candidates & -candidates
+        candidates ^= low
+        w = low.bit_length() - 1
+        deg = (adj[w] & within).bit_count()
+        if deg > best_deg:
+            best, best_deg = w, deg
+    return best, best_deg
+
+
 def as_mask(vertices: Union[int, Iterable[int]], n: int) -> int:
     """Normalize a vertex set (bitmask or iterable of indices) to a bitmask."""
     if isinstance(vertices, int):

@@ -1,4 +1,4 @@
-"""Uniform CSP representation, restriction, brute-force oracles, and the
+"""Uniform CSP representation, brute-force oracles, and the
 labelled-hypergraph encoding of an instance.
 
 Constraints store their *falsifying* tuples: the hypergraph encoding adds one
@@ -107,59 +107,48 @@ class Csp:
 
 
 @dataclass(frozen=True)
-class Restriction:
-    """phi[S]: the constraints whose variables all lie in S, reindexed.
-
-    variables[i] is the original index of restricted variable i.
-    """
-
-    csp: Csp
-    variables: tuple[int, ...]
-
-
-def restrict(csp: Csp, variables: Iterable[int]) -> Restriction:
-    kept = tuple(sorted(set(variables)))
-    if kept and not (0 <= kept[0] and kept[-1] < csp.n):
-        raise ValueError(f"variables {kept} out of range for n={csp.n}")
-    s_mask = mask_of(kept)
-    new_index = {v: i for i, v in enumerate(kept)}
-    constraints = []
-    for c in csp.constraints:
-        if c.scope_mask & ~s_mask == 0:
-            constraints.append(
-                Constraint(tuple(new_index[v] for v in c.scope), c.falsifying)
-            )
-    return Restriction(Csp(len(kept), csp.k, csp.q, tuple(constraints)), kept)
-
-
-@dataclass(frozen=True)
 class SatResult:
     satisfiable: bool
     witness: Optional[dict[int, int]]
 
 
-def is_satisfiable(csp: Csp) -> SatResult:
-    """Exhaustive satisfiability, backtracking in one loop; the witness is the
-    first satisfying assignment in itertools.product order."""
-    n, k = csp.n, csp.k
-    check_assignment_cap(k, n)
-    by_last: list[list[Constraint]] = [[] for _ in range(n)]
+def is_satisfiable(csp: Csp, variables: Optional[Iterable[int]] = None) -> SatResult:
+    """Exhaustive satisfiability of phi[S], the constraints whose scopes lie
+    inside the variable set S (every variable when it is omitted), decided in
+    place by one backtracking loop over S in increasing order.  The witness,
+    keyed by the variables of S, is the first satisfying assignment in
+    itertools.product order."""
+    if variables is None:
+        kept = range(csp.n)
+    else:
+        kept = sorted(set(variables))
+        if kept and not (0 <= kept[0] and kept[-1] < csp.n):
+            raise ValueError(f"variables {tuple(kept)} out of range for n={csp.n}")
+    m, k = len(kept), csp.k
+    check_assignment_cap(k, m)
+    s_mask = mask_of(kept)
+    # (scope, falsifying set) of each constraint inside S, by its last variable
+    by_last: dict[int, list] = {x: [] for x in kept}
     for c in csp.constraints:
-        by_last[c.scope[-1]].append(c)
-    values = [-1] * n  # -1: no value tried yet at this depth
+        if c.scope_mask & ~s_mask == 0:
+            by_last[c.scope[-1]].append((c.scope, c.falsifying_set))
+    values = [-1] * csp.n  # -1: no value tried yet for this variable
     depth = 0
-    while 0 <= depth < n:
-        values[depth] += 1
-        if values[depth] == k:
-            values[depth] = -1
+    while 0 <= depth < m:
+        x = kept[depth]
+        values[x] += 1
+        if values[x] == k:
+            values[x] = -1
             depth -= 1
             continue
-        for c in by_last[depth]:
-            if tuple(values[i] for i in c.scope) in c.falsifying_set:
+        for scope, falsifying in by_last[x]:
+            if tuple([values[i] for i in scope]) in falsifying:
                 break
         else:
             depth += 1
-    return SatResult(True, dict(enumerate(values))) if depth == n else SatResult(False, None)
+    if depth < m:
+        return SatResult(False, None)
+    return SatResult(True, {x: values[x] for x in kept})
 
 
 @dataclass(frozen=True)

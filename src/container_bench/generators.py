@@ -28,7 +28,7 @@ from .core import Graph, Hypergraph
 from .csp import Csp, distance_to_sat
 from .containers_star import distance_to_rho_is
 from .rationals import ceil_frac, format_rational
-from .rng import GENERATOR_NAME, make_rng, substream_seed
+from .rng import GENERATOR_NAME, make_rng, sample_without_replacement, substream_seed
 from .serialize import FarCertificate, instance_hash
 from .testers import TesterSpec, run_tester
 
@@ -84,12 +84,7 @@ def gen_planted_is_graph(n: int, rho: Fraction, p: Fraction, seed: int) -> Graph
     if not 0 <= pf <= 1:
         raise ValueError("p must lie in [0, 1]")
     rng = make_rng(seed)
-    size = ceil_frac(Fraction(rho) * n)
-    order = list(range(n))
-    for i in range(size):
-        j = i + int(rng.integers(0, n - i))
-        order[i], order[j] = order[j], order[i]
-    planted = set(order[:size])
+    planted = set(sample_without_replacement(rng, n, ceil_frac(Fraction(rho) * n)))
     edges = []
     for u in range(n):
         for v in range(u + 1, n):

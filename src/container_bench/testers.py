@@ -22,8 +22,9 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .core import Graph, Hypergraph, bits_of, check_assignment_cap, check_subset_cap, mask_of
-from .csp import Csp, is_satisfiable, restrict
+from .core import (Graph, Hypergraph, argmax_degree, bits_of, check_assignment_cap,
+                   check_subset_cap, mask_of)
+from .csp import Csp, is_satisfiable
 from .rationals import ceil_frac, least_int, sign_with_ln
 from .rng import GENERATOR_NAME, make_rng, sample_without_replacement
 
@@ -132,16 +133,15 @@ class QueryCountingGraph:
 
 def canonical_sat_tester(csp: Csp, params: SatTesterParams,
                          rng: np.random.Generator, seed: int = 0) -> TesterReport:
-    """Sample s variables without replacement; accept iff the restriction is
-    satisfiable.  One-sided: a satisfiable instance is accepted on every seed.
+    """Sample s variables without replacement; accept iff phi[S], the
+    constraints inside the sample S, is satisfiable.  One-sided: a satisfiable
+    instance is accepted on every seed.
     """
     s = params.resolve_s(csp.n, csp.k, csp.q)
     sample = sample_without_replacement(rng, csp.n, s)
-    restriction = restrict(csp, sample)
-    result = is_satisfiable(restriction.csp)
     return TesterReport(
         kind="canonical-sat",
-        verdict="accept" if result.satisfiable else "reject",
+        verdict="accept" if is_satisfiable(csp, sample).satisfiable else "reject",
         seed=seed,
         generator=GENERATOR_NAME,
         params={"epsilon": str(params.epsilon), "s": s, "c": str(params.c)},
@@ -219,32 +219,21 @@ def has_independent_set_of_size(adj: Sequence[int], candidates: int,
                                 target: int) -> bool:
     """Exact branch and bound: does the induced subgraph on the candidate
     mask contain an independent set with `target` vertices?"""
-    if target <= 0:
-        return True
-
-    def rec(mask: int, need: int) -> bool:
+    stack = [(candidates, target)]
+    while stack:
+        mask, need = stack.pop()
         if need <= 0:
             return True
         if mask.bit_count() < need:
-            return False
-        # Branch on the max-degree vertex inside the mask.
-        best_v, best_d = -1, -1
-        m = mask
-        while m:
-            low = m & -m
-            w = low.bit_length() - 1
-            m ^= low
-            d = (adj[w] & mask).bit_count()
-            if d > best_d:
-                best_v, best_d = w, d
-        if best_d == 0:
+            continue
+        # Branch on the max-degree vertex inside the mask: take it, else drop it.
+        v, d = argmax_degree(adj, mask, mask)
+        if d == 0:
             return True  # mask is already independent and large enough
-        bit = 1 << best_v
-        if rec(mask & ~bit & ~adj[best_v], need - 1):
-            return True
-        return rec(mask & ~bit, need)
-
-    return rec(candidates, target)
+        bit = 1 << v
+        stack.append((mask & ~bit, need))
+        stack.append((mask & ~bit & ~adj[v], need - 1))
+    return False
 
 
 def star_tester(graph: Graph, params: StarTesterParams,
@@ -292,24 +281,25 @@ def star_tester(graph: Graph, params: StarTesterParams,
         return (body_mask & ~blocked & ~core_mask).bit_count() + (
             body_mask & core_mask).bit_count()
 
-    def search(start: int, core_mask: int, size: int) -> Optional[dict]:
+    # Depth first over the independent cores of size m_core inside core_list,
+    # in combinations order: a node's children are the later core vertices
+    # with no known edge into it, while enough vertices remain to finish.
+    witness = None
+    stack = [(0, 0, 0)]
+    while stack:
+        start, core_mask, size = stack.pop()
         if size == m_core:
             compatible = compatible_count(core_mask)
             if compatible >= m_body:
-                return {"core": bits_of(core_mask), "compatible": compatible}
-            return None
-        for idx in range(start, len(core_list)):
-            if len(core_list) - idx < m_core - size:
-                return None
+                witness = {"core": bits_of(core_mask), "compatible": compatible}
+                break
+            continue
+        last = len(core_list) - (m_core - size)
+        for idx in range(last, start - 1, -1):
             v = core_list[idx]
-            if adj_known[v] & core_mask:
-                continue
-            witness = search(idx + 1, core_mask | (1 << v), size + 1)
-            if witness is not None:
-                return witness
-        return None
+            if not adj_known[v] & core_mask:
+                stack.append((idx + 1, core_mask | (1 << v), size + 1))
 
-    witness = search(0, 0, 0)
     return TesterReport(
         kind="star",
         verdict="reject" if witness is None else "accept",

@@ -367,6 +367,78 @@ def test_bounded_distance_matches_plain_enumeration():
             (seed, n, kind, rho)
 
 
+def recursive_distance_to_rho_is(g, rho):
+    """The bounded search as it was, one recursion level per chosen vertex,
+    kept as the reference for the explicit-stack loop that replaced it."""
+    n = g.n
+    target = ceil_frac(rho * n)
+    if target == 0:
+        return RhoDistance(0, Fraction(0), (), 0)
+    best = math.comb(target, 2) + 1
+    best_mask = 0
+    adj = g.adj
+    full = (1 << n) - 1
+
+    def rec(start, chosen, size, count):
+        nonlocal best, best_mask
+        if count >= best:
+            return
+        need = target - size
+        if need == 0:
+            best, best_mask = count, chosen
+            return
+        slack = n - start - need
+        if not slack:
+            for v in range(start, n):
+                count += (adj[v] & chosen).bit_count()
+                chosen |= 1 << v
+                if count >= best:
+                    return
+            best, best_mask = count, chosen
+            return
+        rest = full >> start << start
+        twice_f = sorted([
+            2 * (a & chosen).bit_count()
+            + (d - slack if (d := (a & rest).bit_count()) > slack else 0)
+            for a in adj[start:]])
+        if 2 * count + sum(twice_f[:need]) >= 2 * best:
+            return
+        for v in range(start, start + slack + 1):
+            rec(v + 1, chosen | 1 << v, size + 1,
+                count + (adj[v] & chosen).bit_count())
+            if best == 0:
+                return
+
+    rec(0, 0, 0, 0)
+    return RhoDistance(best, Fraction(best, n * n), bits_of(best_mask), target)
+
+
+def test_distance_loop_matches_the_recursive_search():
+    # 1,200 seeded graphs, n 1..20, ER at four densities and a planted
+    # independent set; RhoDistance equality includes the witness.
+    from container_bench import gen_planted_is_graph
+
+    rhos = [Fraction(1, 4), Fraction(1, 3), Fraction(1, 2), Fraction(3, 5),
+            Fraction(3, 4), Fraction(9, 10), Fraction(1)]
+    for seed in range(1200):
+        rnd = random.Random(seed)
+        n, rho = rnd.randint(1, 20), rnd.choice(rhos)
+        if seed % 5 == 4:
+            g = gen_planted_is_graph(n, Fraction(1, 2), Fraction(rnd.randint(1, 9), 10), seed=seed)
+        else:
+            g = gen_er_graph(n, Fraction(1 + seed % 5, 6), seed=seed)
+        assert distance_to_rho_is(g, rho) == recursive_distance_to_rho_is(g, rho), (seed, n, rho)
+
+
+def test_distance_is_not_bounded_by_the_recursion_limit():
+    # At rho = 2999/3000 every root-to-leaf path is 2,999 vertices long; the
+    # recursive search raised RecursionError (exit 3 from certify).
+    g = Graph.from_edges(3000, [(0, 1), (0, 2), (1, 2), (2, 3), (5, 2999)])
+    got = distance_to_rho_is(g, Fraction(2999, 3000))
+    assert (got.min_edits, got.target_size) == (2, 2999)
+    assert got.witness == tuple(v for v in range(3000) if v != 2)
+
+
 def test_distance_cap(monkeypatch):
     g = Graph.from_edges(24, [])
     monkeypatch.setattr(core, "SUBSET_CAP", 100)

@@ -15,12 +15,11 @@ from container_bench import (
     gen_planted_sat_csp,
     gen_random_csp,
     is_satisfiable,
-    restrict,
     vars_of,
 )
 from container_bench import core
 from container_bench.core import bits_of, mask_of
-from container_bench.csp import SatResult
+from container_bench.csp import Constraint, SatResult
 
 from conftest import oracle_min_falsified
 
@@ -39,18 +38,42 @@ def test_scope_order_realigns_falsifying_tuples():
     assert c.falsifying == ((0, 1),)
 
 
+def restriction(csp: Csp, variables) -> tuple[Csp, tuple[int, ...]]:
+    """phi[S] as its own instance, reindexed: the constraints whose scopes lie
+    inside S, and S sorted, whose i-th entry is restricted variable i."""
+    kept = tuple(sorted(set(variables)))
+    index = {v: i for i, v in enumerate(kept)}
+    constraints = tuple(Constraint(tuple(index[v] for v in c.scope), c.falsifying)
+                        for c in csp.constraints if set(c.scope) <= set(kept))
+    return Csp(len(kept), csp.k, csp.q, constraints), kept
+
+
 def test_restrict_full_and_empty(triangle_csp):
-    full = restrict(triangle_csp, range(3))
-    assert full.csp == triangle_csp
-    assert full.variables == (0, 1, 2)
-    dropped = restrict(triangle_csp, (0,))
-    assert dropped.csp.constraints == ()
+    # The triangle's three "not equal" constraints over {0, 1} admit no
+    # 2-colouring of all three variables; one variable alone carries none.
+    assert is_satisfiable(triangle_csp, range(3)) == is_satisfiable(triangle_csp)
+    assert not is_satisfiable(triangle_csp, (2, 0, 1)).satisfiable
+    assert is_satisfiable(triangle_csp, (1,)) == SatResult(True, {1: 0})
+    assert is_satisfiable(triangle_csp, ()) == SatResult(True, {})
 
 
 def test_restrict_triangle_pair(triangle_csp):
-    res = restrict(triangle_csp, (0, 1))
-    assert len(res.csp.constraints) == 1
-    assert res.csp.n == 2
+    # phi[{0, 2}] keeps the one constraint on (0, 2): values must differ.
+    assert is_satisfiable(triangle_csp, (2, 0)) == SatResult(True, {0: 0, 2: 1})
+
+
+def test_is_satisfiable_on_a_sample_checks_its_variables(triangle_csp):
+    for bad in ((0, 3), (-1,), (5, 1)):
+        with pytest.raises(ValueError, match="out of range"):
+            is_satisfiable(triangle_csp, bad)
+    assert is_satisfiable(triangle_csp, (0, 2, 0, 2)) == is_satisfiable(triangle_csp, (0, 2))
+
+
+def test_is_satisfiable_caps_k_to_the_sample_size():
+    csp = Csp(40, 2, 2, ())
+    assert is_satisfiable(csp, range(10)) == SatResult(True, dict.fromkeys(range(10), 0))
+    with pytest.raises(WorkCapExceeded, match=r"k\^n = 2\^40 exceeds the assignment cap"):
+        is_satisfiable(csp)
 
 
 def test_is_satisfiable_trivial_cases(nae_csp):
@@ -100,8 +123,9 @@ def recursive_is_satisfiable(csp: Csp) -> SatResult:
 
 @pytest.mark.parametrize("block", range(4))
 def test_is_satisfiable_matches_the_recursive_search(block):
-    """300 seeded CSPs per block, k = 1 included, and the restriction of each
-    to a random sample, as the canonical tester asks."""
+    """300 seeded CSPs per block, k = 1 included, each whole and on a random
+    sample S, as the canonical tester asks: phi[S] decided in place must match
+    the recursion on phi[S] built as its own instance, witness remapped."""
     for seed in range(300 * block, 300 * block + 300):
         rnd = random.Random(seed)
         n, k, q = rnd.randrange(11), 1 + seed % 3, 1 + rnd.randrange(3)
@@ -110,9 +134,13 @@ def test_is_satisfiable_matches_the_recursive_search(block):
         else:
             csp = gen_random_csp(n, k, q, Fraction(rnd.randrange(11), 10),
                                  Fraction(rnd.randrange(5), 10), seed)
-        sample = restrict(csp, rnd.sample(range(n), rnd.randrange(n + 1))).csp
-        for instance in (csp, sample):
-            assert is_satisfiable(instance) == recursive_is_satisfiable(instance), seed
+        assert is_satisfiable(csp) == recursive_is_satisfiable(csp), seed
+        sample = rnd.sample(range(n), rnd.randrange(n + 1))
+        sub, kept = restriction(csp, sample)
+        expected = recursive_is_satisfiable(sub)
+        if expected.satisfiable:
+            expected = SatResult(True, {kept[i]: a for i, a in expected.witness.items()})
+        assert is_satisfiable(csp, sample) == expected, seed
 
 
 def test_is_satisfiable_is_not_bounded_by_the_recursion_limit():
@@ -218,7 +246,7 @@ def test_restriction_preserves_satisfiability(nae_csp):
     assert distance_to_sat(nae_csp).min_falsified == 0
     for size in range(4):
         for sub in itertools.combinations(range(3), size):
-            assert distance_to_sat(restrict(nae_csp, sub).csp).min_falsified == 0
+            assert distance_to_sat(restriction(nae_csp, sub)[0]).min_falsified == 0
 
 
 # ---------------------------------------------------------- distance_to_sat

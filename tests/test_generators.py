@@ -58,6 +58,29 @@ def test_gen_planted_is_graph_has_property():
     assert g0.edge_count() == 0
 
 
+def test_gen_planted_is_graph_draws_as_its_inline_shuffle_did():
+    """The planted set comes from sample_without_replacement, which makes the
+    rng.integers calls of the partial Fisher-Yates shuffle it replaced, so
+    every planted graph keeps its edges."""
+    def inline_shuffle_graph(n, rho, p, seed):
+        from container_bench import Graph
+        from container_bench.rationals import ceil_frac
+        rng = make_rng(seed)
+        size = ceil_frac(rho * n)
+        order = list(range(n))
+        for i in range(size):
+            j = i + int(rng.integers(0, n - i))
+            order[i], order[j] = order[j], order[i]
+        planted = set(order[:size])
+        return Graph.from_edges(n, [(u, v) for u in range(n) for v in range(u + 1, n)
+                                    if not (u in planted and v in planted)
+                                    and rng.random() < float(p)])
+
+    for seed in range(200):
+        n, rho, p = 1 + seed % 17, Fraction(1 + seed % 4, 4), Fraction(seed % 7, 6)
+        assert gen_planted_is_graph(n, rho, p, seed) == inline_shuffle_graph(n, rho, p, seed), seed
+
+
 def test_gen_er_and_hypergraph_determinism():
     assert gen_er_graph(9, Fraction(1, 2), 7) == gen_er_graph(9, Fraction(1, 2), 7)
     assert gen_random_hypergraph(8, 3, Fraction(1, 4), 7) == \

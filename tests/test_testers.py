@@ -20,10 +20,10 @@ from container_bench import (
     gen_er_graph,
     gen_planted_sat_csp,
     is_satisfiable,
-    restrict,
     shpp_to_sat,
     star_tester,
 )
+from container_bench.core import bits_of, mask_of
 from container_bench.rationals import ceil_frac, ln_interval, sign_with_ln
 from container_bench.rng import make_rng, substream_seed
 from container_bench.testers import QueryCountingGraph, has_independent_set_of_size
@@ -71,11 +71,11 @@ def test_sat_tester_rejects_when_covering_false_constraint():
 def test_sat_tester_rejection_monotone_in_sample(triangle_csp):
     # rejection on S forces rejection on every superset of S
     for sub in subsets(range(3)):
-        if is_satisfiable(restrict(triangle_csp, sub).csp).satisfiable:
+        if is_satisfiable(triangle_csp, sub).satisfiable:
             continue
         for sup in subsets(range(3)):
             if set(sub) <= set(sup):
-                assert not is_satisfiable(restrict(triangle_csp, sup).csp).satisfiable
+                assert not is_satisfiable(triangle_csp, sup).satisfiable
 
 
 def test_sat_params_derivation_and_validation():
@@ -321,6 +321,71 @@ def test_star_tester_disjoint_mode():
     assert not set(report.core_sample) & set(report.sample)
 
 
+def recursive_core_search(graph, report, m_core, m_body):
+    """star_tester's core search as it was, one recursion level per core
+    vertex, on the adjacency its queries revealed: every pair inside the core
+    sample and every core x body pair."""
+    core_list = sorted(report.core_sample)
+    seen = mask_of(core_list) | mask_of(report.sample)
+    adj_known = {u: graph.adj[u] & seen for u in core_list}
+    body_mask = mask_of(report.sample)
+
+    def compatible_count(core_mask):
+        blocked = 0
+        for u in bits_of(core_mask):
+            blocked |= adj_known[u]
+        return (body_mask & ~blocked & ~core_mask).bit_count() + (
+            body_mask & core_mask).bit_count()
+
+    def search(start, core_mask, size):
+        if size == m_core:
+            compatible = compatible_count(core_mask)
+            if compatible >= m_body:
+                return {"core": bits_of(core_mask), "compatible": compatible}
+            return None
+        for idx in range(start, len(core_list)):
+            if len(core_list) - idx < m_core - size:
+                return None
+            v = core_list[idx]
+            if adj_known[v] & core_mask:
+                continue
+            witness = search(idx + 1, core_mask | (1 << v), size + 1)
+            if witness is not None:
+                return witness
+        return None
+
+    return search(0, 0, 0)
+
+
+@pytest.mark.parametrize("block", range(2))
+def test_star_tester_loop_matches_the_recursive_search(block):
+    """600 seeded draws per block: n 2..16, ER graphs of five densities, both
+    sampling modes; verdict and witness must match the recursion's."""
+    rhos = [Fraction(1, 3), Fraction(1, 2), Fraction(2, 3), Fraction(3, 4), Fraction(1)]
+    for seed in range(600 * block, 600 * block + 600):
+        rnd = random.Random(seed)
+        n = rnd.randint(2, 16)
+        disjoint = seed % 3 == 0
+        r = rnd.randint(1, n // 2 if disjoint else n)
+        s = rnd.randint(r, n - r if disjoint else n)
+        g = gen_er_graph(n, Fraction(seed % 5, 4), seed=seed)
+        params = make_star_params(rnd.choice(rhos), "1/8", r, s, disjoint)
+        report = star_tester(g, params, make_rng(seed), seed)
+        witness = recursive_core_search(g, report, ceil_frac(params.rho * r),
+                                        ceil_frac(params.rho * s))
+        assert report.witness == witness, seed
+        assert report.accepted == (witness is not None)
+
+
+def test_star_tester_is_not_bounded_by_the_recursion_limit():
+    # A core of 1,099 vertices; the recursive search raised RecursionError
+    # (exit 3 from test indepset).
+    g = Graph.from_edges(1200, [])
+    report = star_tester(g, make_star_params("1099/1100", "1/100", 1100, 1100), make_rng(1), 1)
+    assert report.accepted
+    assert report.witness["core"] == tuple(sorted(report.core_sample))[:1099]
+
+
 def test_star_tester_pure_function_of_seed():
     g = gen_er_graph(12, Fraction(1, 2), seed=9)
     p = make_star_params("1/2", "1/8", 4, 6)
@@ -452,3 +517,50 @@ def test_has_independent_set_bb_matches_oracle():
         full = (1 << g.n) - 1
         for target in range(g.n + 1):
             assert has_independent_set_of_size(g.adj, full, target) == (target <= alpha)
+
+
+def recursive_has_independent_set_of_size(adj, candidates, target):
+    """has_independent_set_of_size as it was, one recursion level per
+    branch, kept as the reference for the loop that replaced it."""
+    def rec(mask, need):
+        if need <= 0:
+            return True
+        if mask.bit_count() < need:
+            return False
+        best_v, best_d = -1, -1
+        m = mask
+        while m:
+            low = m & -m
+            w = low.bit_length() - 1
+            m ^= low
+            d = (adj[w] & mask).bit_count()
+            if d > best_d:
+                best_v, best_d = w, d
+        if best_d == 0:
+            return True
+        bit = 1 << best_v
+        if rec(mask & ~bit & ~adj[best_v], need - 1):
+            return True
+        return rec(mask & ~bit, need)
+
+    return rec(candidates, target)
+
+
+def test_has_independent_set_loop_matches_the_recursive_search():
+    # 1,200 seeded (graph, candidate mask, target) triples, n 1..18.
+    for seed in range(1200):
+        rnd = random.Random(seed)
+        n = rnd.randint(1, 18)
+        g = gen_er_graph(n, Fraction(rnd.randint(0, 10), 10), seed=seed)
+        candidates = rnd.getrandbits(n)
+        target = rnd.randint(-1, n + 1)
+        assert has_independent_set_of_size(g.adj, candidates, target) == \
+            recursive_has_independent_set_of_size(g.adj, candidates, target), seed
+
+
+def test_has_independent_set_is_not_bounded_by_the_recursion_limit():
+    # On K_1100 every branch drops one vertex: 1,100 levels deep.
+    g = complete_graph(1100)
+    full = (1 << g.n) - 1
+    assert not has_independent_set_of_size(g.adj, full, 2)
+    assert has_independent_set_of_size(g.adj, full, 1)
