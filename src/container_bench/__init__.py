@@ -10,13 +10,11 @@ from .core import (
     WorkCapExceeded,
     degree,
     enumerate_independent_sets,
-    induced_subgraph,
     is_independent,
 )
 from .csp import (
     Constraint,
     Csp,
-    assignment_of_vertex_set,
     assignment_vertex_set,
     build_hypergraph,
     distance_to_sat,
@@ -40,7 +38,6 @@ from .containers_star import (
     check_shrinking,
     check_star_closure,
     distance_to_rho_is,
-    is_star,
     run_star_generator,
     verify_gcl_star,
 )

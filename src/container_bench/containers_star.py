@@ -47,20 +47,6 @@ from .rationals import (ceil_frac, floor_frac, floor_times_ln, le_with_ln, least
                         sign_with_ln)
 
 
-def is_star(g: Graph, core, outer) -> tuple[bool, Optional[str]]:
-    """Check the star invariants; returns (ok, diagnostic)."""
-    i_mask = as_mask(core, g.n)
-    j_mask = as_mask(outer, g.n)
-    if i_mask & j_mask:
-        return False, f"core and outer overlap on {bits_of(i_mask & j_mask)}"
-    if not is_independent(g, i_mask):
-        return False, "core is not independent"
-    for v in bits_of(i_mask):
-        if g.adj[v] & j_mask:
-            return False, f"outer vertex adjacent to core vertex {v}"
-    return True, None
-
-
 @dataclass(frozen=True)
 class StarIteration:
     t: int

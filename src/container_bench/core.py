@@ -6,9 +6,9 @@ are handled as Python int bitmasks internally and exposed as sorted tuples.
 All types are immutable after construction and every operation is a pure
 function, so everything here is safe to share across threads or processes.
 A memo derived from an instance (the hypergraph container generator's on a
-Hypergraph and the star generator's on a Graph, both through `memo_of`, and
-the CSP's hypergraph encoding) is kept in an underscore attribute of that
-instance: it never changes a result, takes no part in ==, hash or repr, is
+Hypergraph, the star generator's on a Graph and the canonical satisfiability
+tester's verdicts on a Csp, all through `memo_of`, and the CSP's hypergraph
+encoding) is kept in an underscore attribute of that instance: it never changes a result, takes no part in ==, hash or repr, is
 not pickled, and is freed with the instance.  Its keys hold no work cap: a
 cap only refuses work, before it starts, and a refusal stores nothing.
 """
@@ -175,9 +175,6 @@ class Graph:
                 out.append((u, u + 1 + off))
         return tuple(out)
 
-    def edge_count(self) -> int:
-        return sum(row.bit_count() for row in self.adj) // 2
-
     def has_edge(self, u: int, v: int) -> bool:
         return bool((self.adj[u] >> v) & 1)
 
@@ -255,40 +252,11 @@ class Hypergraph:
         lab = tuple((int(a), int(b)) for a, b in labels) if labels is not None else None
         return cls(q, n, tuple(sorted(set(masks))), lab)
 
-    def edge_vertex_lists(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(bits_of(e) for e in self.edges)
-
     def edges_inside(self, mask: int) -> int:
         return sum(1 for e in self.edges if e & ~mask == 0)
 
 
 Host = Union[Graph, Hypergraph]
-
-
-def induced_subgraph(host: Host, vertices: Union[int, Iterable[int]]):
-    """Restrict a (hyper)graph to a vertex set.
-
-    Returns (sub, index_map) where index_map[i] is the original index of the
-    i-th vertex of the restriction, so vertex identities are recoverable.
-    """
-    n = host.n
-    mask = as_mask(vertices, n)
-    kept = bits_of(mask)
-    new_index = {v: i for i, v in enumerate(kept)}
-    if isinstance(host, Graph):
-        adj = [0] * len(kept)
-        for i, v in enumerate(kept):
-            for u in bits_of(host.adj[v] & mask):
-                adj[i] |= 1 << new_index[u]
-        return Graph(len(kept), tuple(adj)), kept
-    edges = []
-    for e in host.edges:
-        if e & ~mask == 0:
-            edges.append(mask_of(new_index[v] for v in bits_of(e)))
-    labels = None
-    if host.labels is not None:
-        labels = tuple(host.labels[v] for v in kept)
-    return Hypergraph(host.q, len(kept), tuple(sorted(edges)), labels), kept
 
 
 def is_independent(host: Host, vertices: Union[int, Iterable[int]]) -> bool:

@@ -97,14 +97,6 @@ class Csp:
         )
         return cls(n, k, q, built)
 
-    def falsified_count(self, assignment: tuple[int, ...]) -> int:
-        """Number of constraints falsified by a total assignment."""
-        count = 0
-        for c in self.constraints:
-            if tuple(assignment[i] for i in c.scope) in c.falsifying_set:
-                count += 1
-        return count
-
 
 @dataclass(frozen=True)
 class SatResult:
@@ -262,17 +254,3 @@ def assignment_vertex_set(csp: Csp, assignment: Mapping[int, int]) -> tuple[int,
             raise ValueError(f"assignment entry {x}={a} out of range")
     return tuple(sorted(x * csp.k + a for x, a in assignment.items()))
 
-
-def assignment_of_vertex_set(csp: Csp, vertices) -> dict[int, int]:
-    """Inverse of assignment_vertex_set; rejects sets repeating a variable."""
-    if isinstance(vertices, int):
-        vertices = bits_of(vertices)
-    assignment: dict[int, int] = {}
-    for v in vertices:
-        if not 0 <= v < csp.n * csp.k:
-            raise ValueError(f"vertex {v} out of range")
-        x, a = divmod(v, csp.k)
-        if x in assignment:
-            raise ValueError(f"vertex set assigns variable {x} twice")
-        assignment[x] = a
-    return assignment

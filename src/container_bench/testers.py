@@ -9,21 +9,22 @@ shpp all run canonical_sat_tester, and a color or shpp report is relabelled.
 
 Every tester run is a pure function of (instance, params, seed); reports echo
 the resolved parameters, the generator name, and exact query accounting.
-Graph testers touch the graph only through a counting adapter that
-deduplicates repeated pairs, so reported query counts are exact distinct-pair
-counts.
+A graph tester reads the pairs it queries as one mask per sampled vertex, and
+reports the exact count of distinct pairs those masks cover.  A satisfiability
+verdict is a pure function of (CSP, sample set), so canonical_sat_tester keeps
+each one in a memo on the Csp, keyed on the sorted sample.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, fields, replace
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
 from .core import (Graph, Hypergraph, argmax_degree, bits_of, check_assignment_cap,
-                   check_subset_cap, mask_of)
+                   check_subset_cap, mask_of, memo_of)
 from .csp import Csp, is_satisfiable
 from .rationals import ceil_frac, least_int, sign_with_ln
 from .rng import GENERATOR_NAME, make_rng, sample_without_replacement
@@ -113,24 +114,6 @@ class TesterReport:
         return self.verdict == "accept"
 
 
-class QueryCountingGraph:
-    """Adapter that answers pair queries and counts distinct pairs asked."""
-
-    def __init__(self, graph: Graph):
-        self.graph = graph
-        self._asked: set[frozenset[int]] = set()
-
-    def query(self, u: int, v: int) -> bool:
-        if u == v:
-            raise ValueError("pair queries need two distinct vertices")
-        self._asked.add(frozenset((u, v)))
-        return self.graph.has_edge(u, v)
-
-    @property
-    def query_count(self) -> int:
-        return len(self._asked)
-
-
 def canonical_sat_tester(csp: Csp, params: SatTesterParams,
                          rng: np.random.Generator, seed: int = 0) -> TesterReport:
     """Sample s variables without replacement; accept iff phi[S], the
@@ -139,9 +122,16 @@ def canonical_sat_tester(csp: Csp, params: SatTesterParams,
     """
     s = params.resolve_s(csp.n, csp.k, csp.q)
     sample = sample_without_replacement(rng, csp.n, s)
+    # phi[S] satisfiable, by S sorted: a key of s ints, where a mask would
+    # take n bits per distinct sample.
+    verdicts = memo_of(csp, lambda _: {})
+    key = tuple(sorted(sample))
+    satisfiable = verdicts.get(key)
+    if satisfiable is None:
+        satisfiable = verdicts[key] = is_satisfiable(csp, sample).satisfiable
     return TesterReport(
         kind="canonical-sat",
-        verdict="accept" if is_satisfiable(csp, sample).satisfiable else "reject",
+        verdict="accept" if satisfiable else "reject",
         seed=seed,
         generator=GENERATOR_NAME,
         params={"epsilon": str(params.epsilon), "s": s, "c": str(params.c)},
@@ -215,10 +205,11 @@ def shpp_to_sat(g: Graph, spec: SHPPSpec) -> Csp:
     return Csp.of(g.n, k, 2, constraints)
 
 
-def has_independent_set_of_size(adj: Sequence[int], candidates: int,
-                                target: int) -> bool:
+def has_independent_set_of_size(adj: Mapping[int, int] | Sequence[int],
+                                candidates: int, target: int) -> bool:
     """Exact branch and bound: does the induced subgraph on the candidate
-    mask contain an independent set with `target` vertices?"""
+    mask contain an independent set with `target` vertices?  adj[v], the
+    neighbour mask of v, is read only for v in the candidate mask."""
     stack = [(candidates, target)]
     while stack:
         mask, need = stack.pop()
@@ -259,19 +250,13 @@ def star_tester(graph: Graph, params: StarTesterParams,
     m_body = ceil_frac(params.rho * s)
     check_subset_cap(r, m_core)
 
-    counted = QueryCountingGraph(graph)
     core_list = sorted(core)
-    body_list = sorted(body)
-    # Sampled adjacency of the core vertices, restricted to the answered pairs.
-    adj_known = dict.fromkeys(core_list, 0)
-    for i, u in enumerate(core_list):
-        for v in core_list[i + 1:] + [w for w in body_list if w != u]:
-            if counted.query(u, v):
-                adj_known[u] |= 1 << v
-                if v in adj_known:
-                    adj_known[v] |= 1 << u
-
-    body_mask = mask_of(body_list)
+    body_mask = mask_of(body)
+    seen = mask_of(core) | body_mask
+    # The queried pairs, every pair inside R and every R x S pair, as each core
+    # vertex's neighbours in R | S: r(|R | S| - 1) - C(r, 2) distinct pairs.
+    adj_known = {u: graph.adj[u] & seen for u in core_list}
+    query_count = r * (seen.bit_count() - 1) - r * (r - 1) // 2
 
     def compatible_count(core_mask: int) -> int:
         blocked = 0
@@ -310,7 +295,7 @@ def star_tester(graph: Graph, params: StarTesterParams,
                 "disjoint": params.disjoint},
         sample=body,
         core_sample=core,
-        query_count=counted.query_count,
+        query_count=query_count,
         witness=witness,
     )
 
@@ -325,16 +310,10 @@ def canonical_is_tester(graph: Graph, rho: Fraction, sample_size: int,
     target = ceil_frac(Fraction(rho) * sample_size)
     check_subset_cap(sample_size, target)
     sample = sample_without_replacement(rng, n, sample_size)
-    counted = QueryCountingGraph(graph)
-    sample_list = sorted(sample)
-    adj_known = [0] * n
-    for i, u in enumerate(sample_list):
-        for v in sample_list[i + 1:]:
-            if counted.query(u, v):
-                adj_known[u] |= 1 << v
-                adj_known[v] |= 1 << u
-
-    accepted = has_independent_set_of_size(adj_known, mask_of(sample_list), target)
+    sample_mask = mask_of(sample)
+    # The queried pairs, every pair inside S: C(s, 2) distinct pairs.
+    adj_known = {u: graph.adj[u] & sample_mask for u in sample}
+    accepted = has_independent_set_of_size(adj_known, sample_mask, target)
     return TesterReport(
         kind="canonical-is",
         verdict="accept" if accepted else "reject",
@@ -342,7 +321,7 @@ def canonical_is_tester(graph: Graph, rho: Fraction, sample_size: int,
         generator=GENERATOR_NAME,
         params={"rho": str(Fraction(rho)), "s": sample_size},
         sample=sample,
-        query_count=counted.query_count,
+        query_count=sample_size * (sample_size - 1) // 2,
     )
 
 

@@ -11,6 +11,7 @@ import itertools
 import math
 import os
 from fractions import Fraction
+from typing import Optional
 
 import pytest
 from hypothesis import settings
@@ -59,9 +60,62 @@ def subsets(universe, max_size=None):
 
 
 def edge_lists(host) -> list[tuple[int, ...]]:
+    """Every edge as a sorted vertex tuple, in the host's edge order."""
     if isinstance(host, Graph):
         return [tuple(e) for e in host.edges()]
-    return [tuple(vs) for vs in host.edge_vertex_lists()]
+    return [tuple(v for v in range(host.n) if e >> v & 1) for e in host.edges]
+
+
+def edge_count(g: Graph) -> int:
+    return len(edge_lists(g))
+
+
+def induced_subgraph(host, vertices):
+    """(sub, kept): the (hyper)graph restricted to a vertex set, where
+    kept[i] is the original index of vertex i of the restriction."""
+    kept = tuple(sorted(set(vertices)))
+    if kept and not (0 <= kept[0] and kept[-1] < host.n):
+        raise ValueError(f"vertex set {kept} out of range for n={host.n}")
+    index = {v: i for i, v in enumerate(kept)}
+    edges = [tuple(index[v] for v in e) for e in edge_lists(host)
+             if set(e) <= set(kept)]
+    if isinstance(host, Graph):
+        return Graph.from_edges(len(kept), edges), kept
+    labels = None if host.labels is None else [host.labels[v] for v in kept]
+    return Hypergraph.from_edges(host.q, len(kept), edges, labels), kept
+
+
+def is_star(g: Graph, core, outer) -> tuple[bool, Optional[str]]:
+    """The star invariants, as (ok, diagnostic): core and outer are disjoint,
+    the core is independent and no edge joins it to the outer set."""
+    core, outer = set(core), set(outer)
+    if core & outer:
+        return False, f"core and outer overlap on {tuple(sorted(core & outer))}"
+    if not oracle_is_independent(g, core):
+        return False, "core is not independent"
+    for u, v in edge_lists(g):
+        for a, b in ((u, v), (v, u)):
+            if a in core and b in outer:
+                return False, f"outer vertex adjacent to core vertex {a}"
+    return True, None
+
+
+def falsified_count(csp: Csp, assignment) -> int:
+    """Number of constraints a total assignment falsifies."""
+    return sum(1 for c in csp.constraints
+               if tuple(assignment[i] for i in c.scope) in c.falsifying_set)
+
+
+def assignment_of_vertex_set(csp: Csp, vertices) -> dict[int, int]:
+    """The partial assignment {x: a} whose labelled vertices x * k + a are the
+    given set; a set naming a variable twice is refused."""
+    assignment: dict[int, int] = {}
+    for v in vertices:
+        x, a = divmod(v, csp.k)
+        if not 0 <= v < csp.n * csp.k or x in assignment:
+            raise ValueError(f"vertex {v} is out of range or repeats variable {x}")
+        assignment[x] = a
+    return assignment
 
 
 def oracle_is_independent(host, vertices) -> bool:

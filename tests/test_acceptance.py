@@ -57,6 +57,7 @@ from container_bench.core import bits_of, mask_of
 from container_bench.rng import make_rng, substream_seed
 
 from conftest import (
+    falsified_count,
     oracle_deg_leq_n,
     oracle_k_colorable,
     oracle_max_independent_set,
@@ -211,7 +212,7 @@ def test_criterion_02_edge_constraint_equivalence():
         h = build_hypergraph(csp)
         for assignment in itertools.product(range(csp.k), repeat=csp.n):
             vs = mask_of(x * csp.k + a for x, a in enumerate(assignment))
-            assert h.edges_inside(vs) == csp.falsified_count(assignment), idx
+            assert h.edges_inside(vs) == falsified_count(csp, assignment), idx
 
 
 @criterion(3, "trace invariants and closure, exhaustive on the small corpus")

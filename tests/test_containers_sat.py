@@ -26,7 +26,7 @@ from container_bench import core
 from container_bench.core import bits_of, mask_of
 from container_bench.generators import gen_random_hypergraph
 
-from conftest import oracle_deg_leq_n
+from conftest import edge_lists, oracle_deg_leq_n
 
 
 # ------------------------------------------------------------------ deg_leq_n
@@ -60,7 +60,7 @@ def test_deg_witness_is_maximal_and_consistent():
     res = deg_leq_n(h, range(7), 4, 0)
     assert len(res.witness) == 4
     inside = set(res.witness)
-    deg_inside = sum(1 for e in h.edge_vertex_lists()
+    deg_inside = sum(1 for e in edge_lists(h)
                      if 0 in e and set(e) <= inside)
     assert deg_inside == res.value == oracle_deg_leq_n(h, range(7), 4, 0)
 

@@ -15,7 +15,6 @@ from container_bench import (
     distance_to_rho_is,
     enumerate_independent_sets,
     gen_er_graph,
-    is_star,
     run_star_generator,
     verify_gcl_star,
 )
@@ -33,6 +32,7 @@ from hypothesis import strategies as st
 
 from conftest import (
     complete_graph,
+    is_star,
     oracle_is_independent,
     oracle_min_edges_subset,
     stepped_floor_times_ln,

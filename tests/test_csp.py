@@ -7,7 +7,6 @@ import pytest
 from container_bench import (
     Csp,
     WorkCapExceeded,
-    assignment_of_vertex_set,
     assignment_vertex_set,
     build_hypergraph,
     distance_to_sat,
@@ -21,7 +20,7 @@ from container_bench import core
 from container_bench.core import bits_of, mask_of
 from container_bench.csp import Constraint, SatResult
 
-from conftest import oracle_min_falsified
+from conftest import assignment_of_vertex_set, falsified_count, oracle_min_falsified
 
 
 def test_one_constraint_per_scope_merging():
@@ -83,7 +82,7 @@ def test_is_satisfiable_trivial_cases(nae_csp):
     assert not is_satisfiable(always_false).satisfiable
     res = is_satisfiable(nae_csp)
     assert res.satisfiable
-    assert nae_csp.falsified_count(tuple(res.witness[i] for i in range(3))) == 0
+    assert falsified_count(nae_csp, tuple(res.witness[i] for i in range(3))) == 0
     # deterministic backtracking order finds 001
     assert res.witness == {0: 0, 1: 0, 2: 1}
 
@@ -216,7 +215,7 @@ def test_all_zero_assignment_induces_three_edges(triangle_csp):
     h = build_hypergraph(triangle_csp)
     vs = assignment_vertex_set(triangle_csp, {0: 0, 1: 0, 2: 0})
     assert h.edges_inside(mask_of(vs)) == 3
-    assert triangle_csp.falsified_count((0, 0, 0)) == 3
+    assert falsified_count(triangle_csp, (0, 0, 0)) == 3
 
 
 def test_observation_edge_count_equals_falsified_small_sweep():
@@ -231,7 +230,7 @@ def test_observation_edge_count_equals_falsified_small_sweep():
         h = build_hypergraph(csp)
         for assignment in itertools.product(range(csp.k), repeat=csp.n):
             vs = assignment_vertex_set(csp, dict(enumerate(assignment)))
-            assert h.edges_inside(mask_of(vs)) == csp.falsified_count(assignment)
+            assert h.edges_inside(mask_of(vs)) == falsified_count(csp, assignment)
 
 
 def test_satisfiable_iff_full_variable_distinct_independent_set(triangle_csp, nae_csp):
@@ -257,7 +256,7 @@ def old_distance_sweep(csp: Csp) -> tuple[int, tuple[int, ...]]:
     strict < so the first minimum is kept, and a stop at the first 0."""
     best, witness = None, ()
     for assignment in itertools.product(range(csp.k), repeat=csp.n):
-        count = csp.falsified_count(assignment)
+        count = falsified_count(csp, assignment)
         if best is None or count < best:
             best, witness = count, assignment
             if best == 0:

@@ -1,5 +1,6 @@
 import itertools
 import math
+import pickle
 import random
 from fractions import Fraction
 
@@ -12,21 +13,31 @@ from container_bench import (
     SHPPSpec,
     SatTesterParams,
     StarTesterParams,
+    TesterSpec,
     canonical_is_tester,
     canonical_sat_tester,
+    certify_far,
     colorability_to_sat,
     distance_to_rho_is,
     distance_to_sat,
     gen_er_graph,
+    gen_planted_is_graph,
     gen_planted_sat_csp,
+    gen_random_csp,
+    gen_random_hypergraph,
     is_satisfiable,
+    run_tester,
+    serialize,
     shpp_to_sat,
     star_tester,
+    testers,
 )
-from container_bench.core import bits_of, mask_of
+from container_bench.cli import main
+from container_bench.core import WorkCapExceeded, bits_of, check_subset_cap, mask_of
 from container_bench.rationals import ceil_frac, ln_interval, sign_with_ln
-from container_bench.rng import make_rng, substream_seed
-from container_bench.testers import QueryCountingGraph, has_independent_set_of_size
+from container_bench.rng import (GENERATOR_NAME, make_rng, sample_without_replacement,
+                                 substream_seed)
+from container_bench.testers import TesterReport as Report, has_independent_set_of_size
 
 from conftest import (
     complete_graph,
@@ -166,6 +177,75 @@ def test_sat_tester_report_fields(triangle_csp):
     assert report.seed == 7
     assert report.query_count is None
     assert len(report.sample) == 2
+
+
+# ----------------------------------------------------------------- verdict memo
+
+def test_sat_estimate_searches_each_distinct_sample_once(tmp_path, monkeypatch):
+    # At s = n every trial samples the same set, so 40 trials make one search.
+    csp, _ = gen_planted_sat_csp(6, 2, 2, Fraction(1, 2), seed=4)
+    path = tmp_path / "csp.json"
+    path.write_text(serialize.canonical_dumps(serialize.csp_to_dict(csp)))
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return is_satisfiable(*args)
+
+    monkeypatch.setattr(testers, "is_satisfiable", counting)
+    assert main(["estimate", "sat", "--csp", str(path), "--epsilon", "1/4",
+                 "--s", "6", "--seed", "3", "--trials", "40", "--workers", "1",
+                 "--out", str(tmp_path / "est")]) == 0
+    assert len(calls) == 1
+
+
+def test_a_csp_pickled_after_trials_carries_no_verdict_memo():
+    csp, _ = gen_planted_sat_csp(8, 2, 2, Fraction(1, 2), seed=1)
+    spec = TesterSpec.of("sat", csp, {"epsilon": Fraction(1, 4), "s": 5})
+    for seed in range(20):
+        run_tester(spec, seed)
+    assert csp.__dict__["_memo"]
+    copy = pickle.loads(pickle.dumps(csp))
+    assert "_memo" not in copy.__dict__
+    assert copy == csp
+
+
+def _far_csp(n, k, q, seed):
+    """The first random CSP from seed on that is 1/10-far from satisfiable."""
+    while True:
+        csp = gen_random_csp(n, k, q, Fraction(1), Fraction(1, 2), seed=seed)
+        if certify_far(csp, Fraction(1, 10)) is not None:
+            return csp
+        seed += 1
+
+
+def test_memoized_verdicts_equal_fresh_searches():
+    """2,000 seeded trials of sat, color and shpp over planted and far
+    instances: every verdict, memoized or not, equals a fresh is_satisfiable
+    on the report's sample, and the memo is hit."""
+    eps = Fraction(1, 4)
+    bipartite = SHPPSpec(2, ((0, 0), (0, 0)), ((0, 1), (1, 0)))
+    runs = [
+        ("sat", gen_planted_sat_csp(9, 2, 2, Fraction(1, 2), seed=3)[0], {"s": 7}),
+        ("sat", gen_planted_sat_csp(8, 3, 3, Fraction(1, 2), seed=5)[0], {"s": 6}),
+        ("sat", _far_csp(8, 2, 2, seed=0), {"s": 6}),
+        ("sat", _far_csp(7, 3, 2, seed=0), {"s": 5}),
+        ("color", gen_random_hypergraph(9, 3, Fraction(1, 4), seed=2), {"k": 2, "s": 7}),
+        ("color", gen_random_hypergraph(8, 2, Fraction(3, 4), seed=2), {"k": 2, "s": 6}),
+        ("shpp", gen_planted_is_graph(9, Fraction(1, 2), Fraction(1, 2), seed=1),
+         {"spec": bipartite, "s": 7}),
+        ("shpp", gen_er_graph(8, Fraction(1, 2), seed=1), {"spec": bipartite, "s": 6}),
+    ]
+    verdicts = set()
+    for index, (kind, instance, options) in enumerate(runs):
+        spec = TesterSpec.of(kind, instance, {"epsilon": eps, **options})
+        for trial in range(250):
+            report = run_tester(spec, substream_seed(index, trial))
+            fresh = is_satisfiable(spec.instance, report.sample).satisfiable
+            assert report.accepted == fresh, (kind, index, trial)
+            verdicts.add(report.verdict)
+        assert len(spec.instance.__dict__["_memo"]) < 250
+    assert verdicts == {"accept", "reject"}
 
 
 # ------------------------------------------------------------------- reductions
@@ -500,14 +580,139 @@ def test_canonical_is_query_count_exact():
         assert report.query_count == math.comb(s, 2)
 
 
-def test_query_counting_adapter_dedups():
-    g = Graph.from_edges(3, [(0, 1)])
-    counted = QueryCountingGraph(g)
-    assert counted.query(0, 1) and counted.query(1, 0)
-    counted.query(0, 2)
-    assert counted.query_count == 2
-    with pytest.raises(ValueError):
-        counted.query(1, 1)
+class PairQueries:
+    """The per-pair adapter the graph testers used: answers one pair query
+    at a time and counts the distinct pairs asked."""
+
+    def __init__(self, graph):
+        self.graph = graph
+        self.asked = set()
+
+    def query(self, u, v):
+        assert u != v
+        self.asked.add(frozenset((u, v)))
+        return self.graph.has_edge(u, v)
+
+
+def per_pair_star_tester(graph, params, rng, seed=0):
+    """star_tester as it was, reading its sample through PairQueries; kept
+    as the reference for the mask-native tester."""
+    n = graph.n
+    r, s = params.resolve(n)
+    if params.disjoint and r + s > n:
+        raise ValueError(f"disjoint samples need r + s <= n, got {r}+{s} > {n}")
+    core = sample_without_replacement(rng, n, r)
+    if params.disjoint:
+        outside = sorted(set(range(n)).difference(core))
+        picks = sample_without_replacement(rng, len(outside), s)
+        body = tuple(outside[i] for i in picks)
+    else:
+        body = sample_without_replacement(rng, n, s)
+    m_core = ceil_frac(params.rho * r)
+    m_body = ceil_frac(params.rho * s)
+    check_subset_cap(r, m_core)
+
+    counted = PairQueries(graph)
+    core_list = sorted(core)
+    body_list = sorted(body)
+    adj_known = dict.fromkeys(core_list, 0)
+    for i, u in enumerate(core_list):
+        for v in core_list[i + 1:] + [w for w in body_list if w != u]:
+            if counted.query(u, v):
+                adj_known[u] |= 1 << v
+                if v in adj_known:
+                    adj_known[v] |= 1 << u
+    body_mask = mask_of(body_list)
+
+    def compatible_count(core_mask):
+        blocked = 0
+        for u in bits_of(core_mask):
+            blocked |= adj_known[u]
+        return (body_mask & ~blocked & ~core_mask).bit_count() + (
+            body_mask & core_mask).bit_count()
+
+    witness = None
+    stack = [(0, 0, 0)]
+    while stack:
+        start, core_mask, size = stack.pop()
+        if size == m_core:
+            compatible = compatible_count(core_mask)
+            if compatible >= m_body:
+                witness = {"core": bits_of(core_mask), "compatible": compatible}
+                break
+            continue
+        last = len(core_list) - (m_core - size)
+        for idx in range(last, start - 1, -1):
+            v = core_list[idx]
+            if not adj_known[v] & core_mask:
+                stack.append((idx + 1, core_mask | (1 << v), size + 1))
+
+    return Report(
+        kind="star", verdict="reject" if witness is None else "accept",
+        seed=seed, generator=GENERATOR_NAME,
+        params={"rho": str(params.rho), "epsilon": str(params.epsilon),
+                "r": r, "s": s, "c1": str(params.c1), "c2": str(params.c2),
+                "disjoint": params.disjoint},
+        sample=body, core_sample=core, query_count=len(counted.asked),
+        witness=witness)
+
+
+def per_pair_canonical_is_tester(graph, rho, sample_size, rng, seed=0):
+    """canonical_is_tester as it was, reading its sample through PairQueries."""
+    n = graph.n
+    if not 1 <= sample_size <= n:
+        raise ValueError(f"sample size {sample_size} must lie in [1, {n}]")
+    target = ceil_frac(Fraction(rho) * sample_size)
+    check_subset_cap(sample_size, target)
+    sample = sample_without_replacement(rng, n, sample_size)
+    counted = PairQueries(graph)
+    sample_list = sorted(sample)
+    adj_known = [0] * n
+    for i, u in enumerate(sample_list):
+        for v in sample_list[i + 1:]:
+            if counted.query(u, v):
+                adj_known[u] |= 1 << v
+                adj_known[v] |= 1 << u
+    accepted = has_independent_set_of_size(adj_known, mask_of(sample_list), target)
+    return Report(
+        kind="canonical-is", verdict="accept" if accepted else "reject",
+        seed=seed, generator=GENERATOR_NAME,
+        params={"rho": str(Fraction(rho)), "s": sample_size},
+        sample=sample, query_count=len(counted.asked))
+
+
+def _report_or_refusal(tester, *args):
+    try:
+        return tester(*args)
+    except WorkCapExceeded as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("block", range(2))
+def test_graph_testers_match_their_per_pair_versions(block):
+    """600 seeded draws per block: n 4..30, ER graphs of densities 0..1, the
+    star tester in both sampling modes (its core and body overlap unless
+    disjoint), every fifth draw at r = s = n and every fifth canonical-is
+    draw at s = n; the whole TesterReport must match, query count included."""
+    rhos = [Fraction(1, 3), Fraction(1, 2), Fraction(2, 3), Fraction(3, 4), Fraction(1)]
+    for seed in range(600 * block, 600 * block + 600):
+        rnd = random.Random(seed)
+        n = rnd.randint(4, 30)
+        g = gen_er_graph(n, Fraction(rnd.randint(0, 8), 8), seed=seed)
+        rho = rnd.choice(rhos)
+        disjoint = seed % 3 == 0
+        if seed % 5 == 0 and not disjoint:
+            r = s = n
+        else:
+            r = rnd.randint(1, min(n // 2 if disjoint else n, 12))
+            s = rnd.randint(r, n - r if disjoint else n)
+        params = make_star_params(rho, "1/8", r, s, disjoint)
+        assert _report_or_refusal(star_tester, g, params, make_rng(seed), seed) == \
+            _report_or_refusal(per_pair_star_tester, g, params, make_rng(seed), seed), seed
+        size = n if seed % 5 == 1 else rnd.randint(1, n)
+        assert _report_or_refusal(canonical_is_tester, g, rho, size, make_rng(seed), seed) == \
+            _report_or_refusal(per_pair_canonical_is_tester, g, rho, size,
+                               make_rng(seed), seed), seed
 
 
 def test_has_independent_set_bb_matches_oracle():
