@@ -47,7 +47,6 @@ from .core import (
     bits_of,
     check_edge_draw_cap,
     enumerate_independent_sets,
-    mask_of,
 )
 from .csp import Csp, build_hypergraph, distance_to_sat, vars_of
 from .containers_sat import (
@@ -350,8 +349,8 @@ def _emit_traces(args, traces, to_dict, columns, sizes) -> int:
         return EXIT_OK
     _write_text(args.out, _csv_text(
         ["independent_set", "t", "fingerprint_size", *columns],
-        ([";".join(map(str, trace.independent_set)), t, len(trace.fingerprint_at(t)),
-          *sizes(trace, t)]
+        ([";".join(map(str, bits_of(trace.independent_set))), t,
+          trace.fingerprint_at(t).bit_count(), *sizes(trace, t)]
          for trace in traces for t in range(1, trace.iteration_count + 1))))
     return EXIT_OK
 
@@ -366,7 +365,7 @@ def _cmd_containers_sat(args) -> int:
     ]
     return _emit_traces(args, traces, serialize.container_trace_to_dict,
                         ["container_size", "vars"],
-                        lambda tr, t: (len(tr.container_at(t)),
+                        lambda tr, t: (tr.container_at(t).bit_count(),
                                        vars_of(h, tr.container_at(t))))
 
 
@@ -378,7 +377,8 @@ def _cmd_containers_star(args) -> int:
     ]
     return _emit_traces(args, traces, serialize.star_trace_to_dict,
                         ["inner_size", "outer_size"],
-                        lambda tr, t: (len(tr.inner_at(t)), len(tr.outer_at(t))))
+                        lambda tr, t: (tr.inner_at(t).bit_count(),
+                                       tr.outer_at(t).bit_count()))
 
 
 # ---------------------------------------------------------------- verifiers
@@ -467,8 +467,9 @@ def _verify_trace_file(args) -> int:
         if trace.fingerprint_at(t) != fresh.fingerprint_at(t) or recorded != recomputed:
             raise CounterexampleFound({
                 "verifier": "closure", "trace": str(args.trace), "mismatch_t": t,
-                **{f"recorded_{f}": list(c) for f, c in zip(fields, recorded)},
-                **{f"recomputed_{f}": list(c) for f, c in zip(fields, recomputed)}})
+                **{f"recorded_{f}": list(bits_of(c)) for f, c in zip(fields, recorded)},
+                **{f"recomputed_{f}": list(bits_of(c))
+                   for f, c in zip(fields, recomputed)}})
     _emit_json(args, {"verifier": "closure", "trace": str(args.trace),
                       "replayed": True})
     return EXIT_OK
@@ -602,7 +603,7 @@ def _cmd_verify_shrinking(args) -> int:
                 if t_limit < 1:
                     continue
                 t = int(rng.integers(0, t_limit))
-                d_mask = mask_of(trace.outer_at(t + 1))
+                d_mask = trace.outer_at(t + 1)
                 n = graph.n
                 size = d_mask.bit_count()
                 if size == 0:

@@ -219,33 +219,37 @@ def deg_leq_n(h: Hypergraph, container, n_bound: int, v: int) -> DegLeqNResult:
 
 @dataclass(frozen=True)
 class LevelRecord:
-    """One level hypergraph D_{t,ell}: its vertex set and its edge list."""
+    """One level hypergraph D_{t,ell}: its vertex mask and its edge masks,
+    in increasing mask order."""
 
     ell: int
-    vertices: tuple[int, ...]
-    edges: tuple[tuple[int, ...], ...]
+    vertices: int
+    edges: tuple[int, ...]
 
 
 @dataclass(frozen=True)
 class SatIteration:
+    """One generator iteration; every vertex set is a mask, and selected is a
+    tuple because it records the order of selection."""
+
     t: int
     selected: tuple[int, ...]
-    exclusions: tuple[tuple[int, tuple[int, ...]], ...]
+    exclusions: tuple[tuple[int, int], ...]
     levels: tuple[LevelRecord, ...]
-    one_edge_removals: tuple[int, ...]
-    fingerprint: tuple[int, ...]
-    container: tuple[int, ...]
+    one_edge_removals: int
+    fingerprint: int
+    container: int
     degenerate: bool
     truncated: bool
 
 
-def extended_at(field: str, start: Callable[[object], tuple[int, ...]]):
-    """A trace accessor t -> iteration t's `field` under the extension rule
-    both generators' traces share: start(trace) before the loop (t <= 0), and
-    F_t = C_t = I past the executed loop."""
+def extended_at(field: str, start: Callable[[object], int]):
+    """A trace accessor t -> iteration t's `field` mask under the extension
+    rule both generators' traces share: start(trace) before the loop
+    (t <= 0), and F_t = C_t = I past the executed loop."""
     get = attrgetter(field)
 
-    def at(self, t: int) -> tuple[int, ...]:
+    def at(self, t: int) -> int:
         if t <= 0:
             return start(self)
         if t <= len(self.iterations):
@@ -256,17 +260,18 @@ def extended_at(field: str, start: Callable[[object], tuple[int, ...]]):
 
 @dataclass(frozen=True)
 class ContainerTrace:
-    """Full per-iteration output of the generator for one independent set;
-    fingerprint_at/container_at apply the `extended_at` rule."""
+    """Full per-iteration output of the generator for one independent set
+    (a mask); fingerprint_at/container_at return masks under the
+    `extended_at` rule."""
 
     hypergraph: Hypergraph
     n_bound: int
-    independent_set: tuple[int, ...]
+    independent_set: int
     iterations: tuple[SatIteration, ...]
 
-    fingerprint_at = extended_at("fingerprint", lambda trace: ())
+    fingerprint_at = extended_at("fingerprint", lambda trace: 0)
     container_at = extended_at("container",
-                               lambda trace: tuple(range(trace.hypergraph.n)))
+                               lambda trace: (1 << trace.hypergraph.n) - 1)
 
     @property
     def iteration_count(self) -> int:
@@ -285,7 +290,7 @@ def run_generator(h: Hypergraph, n_bound: int, independent_set) -> ContainerTrac
     key = (i_mask, n_bound)
     done = memo.traces.get(key)
     if done is not None:
-        return ContainerTrace(h, n_bound, bits_of(i_mask), done)
+        return ContainerTrace(h, n_bound, i_mask, done)
 
     q = h.q
     f_mask, c_mask = 0, (1 << h.n) - 1
@@ -296,7 +301,7 @@ def run_generator(h: Hypergraph, n_bound: int, independent_set) -> ContainerTrac
         values = memo.degree_table(c_mask, n_bound)
         # max keeps the first maximum, so ties go to the smallest index.
         v_q = max(bits_of(i_mask & ~f_mask), key=values.__getitem__)
-        x_q = tuple(w for w in values if values[w] > values[v_q])
+        x_q = mask_of(w for w in values if values[w] > values[v_q])
         witness_mask = memo.deg_leq_n(c_mask, n_bound, v_q)[1]
 
         vbit = 1 << v_q
@@ -309,8 +314,7 @@ def run_generator(h: Hypergraph, n_bound: int, independent_set) -> ContainerTrac
         selected = [v_q]
         selected_mask = vbit
         exclusions = [(q, x_q)]
-        levels = [LevelRecord(q - 1, bits_of(level_v),
-                              tuple(sorted(bits_of(e) for e in level_e)))]
+        levels = [LevelRecord(q - 1, level_v, tuple(level_e))]
         degenerate = False
         truncated = False
 
@@ -325,8 +329,8 @@ def run_generator(h: Hypergraph, n_bound: int, independent_set) -> ContainerTrac
             candidates = i_mask & level_v
             if candidates:
                 v_ell = max(bits_of(candidates), key=level_deg.__getitem__)
-                x_ell = tuple(w for w in bits_of(level_v)
-                              if level_deg[w] > level_deg[v_ell])
+                x_ell = mask_of(w for w in level_deg
+                                if level_deg[w] > level_deg[v_ell])
                 next_e = [e & ~(1 << v_ell) for e in level_e if (e >> v_ell) & 1]
             else:
                 # No independent-set vertex inside the level: fall back to the
@@ -334,22 +338,18 @@ def run_generator(h: Hypergraph, n_bound: int, independent_set) -> ContainerTrac
                 # every positive-degree vertex of the level.
                 degenerate = True
                 v_ell = bits_of(i_mask & ~f_mask & ~selected_mask)[0]
-                x_ell = tuple(w for w in bits_of(level_v) if level_deg[w] > 0)
+                x_ell = mask_of(w for w in level_deg if level_deg[w] > 0)
                 next_e = []
             selected.append(v_ell)
             selected_mask |= 1 << v_ell
             exclusions.append((ell, x_ell))
             level_v &= ~(1 << v_ell)
             level_e = next_e
-            levels.append(LevelRecord(ell - 1, bits_of(level_v),
-                                      tuple(sorted(bits_of(e) for e in level_e))))
+            levels.append(LevelRecord(ell - 1, level_v, tuple(level_e)))
 
-        one_edge: tuple[int, ...] = ()
-        if not truncated:
-            one_edge = tuple(sorted(e.bit_length() - 1 for e in level_e))
-
-        removal = mask_of(w for _, xs in exclusions for w in xs)
-        removal |= mask_of(one_edge) | selected_mask
+        # Untruncated, the last level's edges are single vertices.
+        one_edge = 0 if truncated else reduce(or_, level_e, 0)
+        removal = reduce(or_, (xs for _, xs in exclusions), one_edge | selected_mask)
         f_mask |= selected_mask
         c_new = c_mask & ~removal
         assert i_mask & ~f_mask & ~c_new == 0, "independent-set vertex removed"
@@ -360,15 +360,15 @@ def run_generator(h: Hypergraph, n_bound: int, independent_set) -> ContainerTrac
             exclusions=tuple(exclusions),
             levels=tuple(levels),
             one_edge_removals=one_edge,
-            fingerprint=bits_of(f_mask),
-            container=bits_of(c_new),
+            fingerprint=f_mask,
+            container=c_new,
             degenerate=degenerate,
             truncated=truncated,
         ))
         c_mask = c_new
 
     done = memo.traces[key] = tuple(iterations)
-    return ContainerTrace(h, n_bound, bits_of(i_mask), done)
+    return ContainerTrace(h, n_bound, i_mask, done)
 
 
 @dataclass(frozen=True)
@@ -439,7 +439,7 @@ def check_container_degree(trace: ContainerTrace, k: int, n: int) -> ContainerDe
     records = []
     memo = memo_of(h, _GeneratorMemo)
     for t in range(1, trace.iteration_count + 1):
-        table = memo.degree_table(mask_of(trace.container_at(t)), n)
+        table = memo.degree_table(trace.container_at(t), n)
         max_deg = max(table.values(), default=0)
         bound = Fraction(2 * k * q, t) * coeff
         tighter = Fraction(2 * k * (q - 1), t) * coeff

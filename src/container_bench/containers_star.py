@@ -39,7 +39,6 @@ from .core import (
     bits_of,
     check_subset_cap,
     is_independent,
-    mask_of,
     memo_of,
 )
 from .containers_sat import ClosureOutcome, NotFarError, extended_at
@@ -49,36 +48,38 @@ from .rationals import (ceil_frac, floor_frac, floor_times_ln, le_with_ln, least
 
 @dataclass(frozen=True)
 class StarIteration:
+    """One iteration: the picked pair (u, v), then F_t, C_t and D_t as masks."""
+
     t: int
     u: int
     v: Optional[int]
-    fingerprint: tuple[int, ...]
-    inner: tuple[int, ...]
-    outer: tuple[int, ...]
+    fingerprint: int
+    inner: int
+    outer: int
 
 
 @dataclass(frozen=True)
 class StarContainerTrace:
-    """Per-iteration fingerprints and container pairs for one core.
+    """Per-iteration fingerprints and container pairs for one core (a mask).
 
-    fingerprint_at/inner_at apply the `extended_at` rule; past the executed
-    loop D_t keeps its final value.
+    fingerprint_at/inner_at/outer_at return masks; the first two apply the
+    `extended_at` rule, and past the executed loop D_t keeps its final value.
     """
 
     graph: Graph
-    independent_set: tuple[int, ...]
+    independent_set: int
     iterations: tuple[StarIteration, ...]
 
-    fingerprint_at = extended_at("fingerprint", lambda trace: ())
-    inner_at = extended_at("inner", lambda trace: tuple(range(trace.graph.n)))
+    fingerprint_at = extended_at("fingerprint", lambda trace: 0)
+    inner_at = extended_at("inner", lambda trace: (1 << trace.graph.n) - 1)
 
     @property
     def iteration_count(self) -> int:
         return len(self.iterations)
 
-    def outer_at(self, t: int) -> tuple[int, ...]:
+    def outer_at(self, t: int) -> int:
         if t <= 0 or not self.iterations:
-            return tuple(range(self.graph.n))
+            return (1 << self.graph.n) - 1
         return self.iterations[min(t, len(self.iterations)) - 1].outer
 
 
@@ -96,7 +97,7 @@ def run_star_generator(g: Graph, independent_set) -> StarContainerTrace:
     iterations = memo.get(i_mask)
     if iterations is None:
         iterations = memo[i_mask] = _star_iterations(g.adj, g.n, i_mask)
-    return StarContainerTrace(g, bits_of(i_mask), iterations)
+    return StarContainerTrace(g, i_mask, iterations)
 
 
 def _star_iterations(adj: tuple[int, ...], n: int,
@@ -139,9 +140,9 @@ def _star_iterations(adj: tuple[int, ...], n: int,
         assert i_mask & ~c_new == 0, "core vertex removed from inner container"
         iterations.append(StarIteration(
             t=t, u=u, v=v,
-            fingerprint=bits_of(f_mask),
-            inner=bits_of(c_new),
-            outer=bits_of(d_new),
+            fingerprint=f_mask,
+            inner=c_new,
+            outer=d_new,
         ))
         c_mask, d_mask = c_new, d_new
     return tuple(iterations)
@@ -269,15 +270,15 @@ def check_shrinking(g: Graph, rho: Fraction, epsilon: Fraction,
         raise NotFarError(
             f"graph distance {distance.distance} is below epsilon {epsilon}"
         )
-    size_i = len(trace.independent_set)
+    size_i = trace.independent_set.bit_count()
     if t < 0 or not 2 * t < size_i:
         raise ValueError(f"t={t} must satisfy 0 <= t < |I|/2 = {size_i}/2")
 
     n = g.n
     d_mask = as_mask(d_set, n)
-    dt_mask = mask_of(trace.outer_at(t))
-    dt1_mask = mask_of(trace.outer_at(t + 1))
-    ct1_mask = mask_of(trace.inner_at(t + 1))
+    dt_mask = trace.outer_at(t)
+    dt1_mask = trace.outer_at(t + 1)
+    ct1_mask = trace.inner_at(t + 1)
     d_size = d_mask.bit_count()
 
     # Rational comparisons cross-multiplied by positive denominators; the two
@@ -414,12 +415,6 @@ def verify_gcl_star(g: Graph, rho: Fraction, epsilon: Fraction, independent_set,
     T = trace.iteration_count
     t_max, threshold = bounds.t_max, bounds.threshold_t
 
-    def inner_size(t: int) -> int:
-        return len(trace.inner_at(t))
-
-    def outer_size(t: int) -> int:
-        return len(trace.outer_at(t))
-
     checks: list[GclStarCheck] = []
     witness: Optional[int] = None
     branch: Optional[str] = None
@@ -428,26 +423,24 @@ def verify_gcl_star(g: Graph, rho: Fraction, epsilon: Fraction, independent_set,
     # both container sizes are constant while the bound right side strictly
     # decreases, so only the first t of each bullet region can newly succeed.
     scan_upto = min(T + 1, t_max)
-    for t in range(1, scan_upto + 1):
+    scan = list(range(1, scan_upto + 1))
+    if scan_upto < threshold <= t_max:
+        scan.append(threshold)
+    for t in scan:
         inner_branch = t >= threshold
-        ok = (inner_size(t) if inner_branch else outer_size(t)) <= bounds.max_size[t]
-        checks.append(GclStarCheck(t, inner_size(t), outer_size(t), inner_branch, ok))
+        inner, outer = trace.inner_at(t).bit_count(), trace.outer_at(t).bit_count()
+        ok = (inner if inner_branch else outer) <= bounds.max_size[t]
+        checks.append(GclStarCheck(t, inner, outer, inner_branch, ok))
         if ok:
             witness, branch = t, "inner" if inner_branch else "outer"
             break
-    if witness is None and threshold > scan_upto and threshold <= t_max:
-        t = threshold
-        ok = inner_size(t) <= bounds.max_size[t]
-        checks.append(GclStarCheck(t, inner_size(t), outer_size(t), True, ok))
-        if ok:
-            witness, branch = t, "inner"
 
     # Restated inner-container lemma: some t <= t_max with the size bound and
     # at most eps n^2 / 4 edges inside C_t.  Past the loop C_t = I (edgeless),
     # so t = T+1 dominates the whole extension region.
     restated_t: Optional[int] = None
     for t in range(1, min(T + 1, t_max) + 1):
-        c_mask = mask_of(trace.inner_at(t))
+        c_mask = trace.inner_at(t)
         if (c_mask.bit_count() <= bounds.max_size[t]
                 and g.edges_inside(c_mask) <= bounds.edge_cap):
             restated_t = t

@@ -2,7 +2,7 @@
 
 Vertices are dense integer indices 0..n-1, totally ordered by index; every
 tie anywhere in the package breaks toward the smallest index.  Vertex sets
-are handled as Python int bitmasks internally and exposed as sorted tuples.
+are Python int bitmasks, traces included; `bits_of` gives the sorted tuple.
 All types are immutable after construction and every operation is a pure
 function, so everything here is safe to share across threads or processes.
 A memo derived from an instance (the hypergraph container generator's on a
@@ -122,13 +122,19 @@ def argmax_degree(adj: tuple[int, ...], candidates: int,
 
 
 def as_mask(vertices: Union[int, Iterable[int]], n: int) -> int:
-    """Normalize a vertex set (bitmask or iterable of indices) to a bitmask."""
+    """Normalize a vertex set (bitmask or iterable of indices) to a bitmask;
+    each vertex is checked against range(n) before it is shifted."""
     if isinstance(vertices, int):
-        mask = vertices
-    else:
-        mask = mask_of(vertices)
-    if mask < 0 or mask >> n:
-        raise ValueError(f"vertex set {bin(mask)} out of range for n={n}")
+        if vertices < 0:
+            raise ValueError(f"negative vertex set mask out of range for n={n}")
+        if vertices >> n:
+            raise ValueError(f"vertex {vertices.bit_length() - 1} out of range for n={n}")
+        return vertices
+    mask = 0
+    for v in vertices:
+        if not 0 <= v < n:
+            raise ValueError(f"vertex {v} out of range for n={n}")
+        mask |= 1 << v
     return mask
 
 
@@ -287,60 +293,42 @@ def degree(host: Host, vertices: Union[int, Iterable[int]], v: int) -> int:
 
 def enumerate_independent_sets(
     host: Host,
-    size: Optional[int] = None,
     variable_distinct: bool = False,
 ) -> Iterator[tuple[int, ...]]:
     """Yield independent sets as sorted tuples, in lexicographic order.
 
-    size filters to sets of exactly that cardinality; variable_distinct
-    (labelled hypergraphs only) keeps sets whose vertices label pairwise
-    distinct variables.  Enumeration refuses hosts above the enumeration cap.
+    variable_distinct (labelled hypergraphs only) keeps sets whose vertices
+    label pairwise distinct variables.  The search is one loop over an
+    explicit stack; enumeration refuses hosts above the enumeration cap.
     """
     n = host.n
     check_enumeration_cap(n)
-    labels = None
+    var_bits = (0,) * n
     if variable_distinct:
         if isinstance(host, Graph) or host.labels is None:
             raise ValueError("variable_distinct requires a labelled hypergraph")
-        labels = host.labels
+        var_bits = tuple(1 << var for var, _ in host.labels)
 
-    edges_by_vertex: tuple[tuple[int, ...], ...]
+    # v may join a set unless a neighbour of v is in it or, in a hypergraph,
+    # an edge through v has all its other vertices (a rest) in it.
+    adj, rests = (0,) * n, [()] * n
     if isinstance(host, Graph):
-        edges_by_vertex = ()
+        adj = host.adj
     else:
-        by_v = [[] for _ in range(n)]
+        rests = [[] for _ in range(n)]
         for e in host.edges:
             for v in bits_of(e):
-                by_v[v].append(e)
-        edges_by_vertex = tuple(tuple(es) for es in by_v)
+                rests[v].append(e & ~(1 << v))
 
-    def candidate_ok(cur_mask: int, v: int) -> bool:
-        if isinstance(host, Graph):
-            return not (host.adj[v] & cur_mask)
-        new_mask = cur_mask | (1 << v)
-        return all(e & ~new_mask for e in edges_by_vertex[v])
-
-    def rec(current: list[int], cur_mask: int, used_vars: int) -> Iterator[tuple[int, ...]]:
-        if size is None or len(current) == size:
-            yield tuple(current)
-        if size is not None and len(current) >= size:
-            return
-        start = current[-1] + 1 if current else 0
-        for v in range(start, n):
-            if labels is not None:
-                var_bit = 1 << labels[v][0]
-                if used_vars & var_bit:
-                    continue
-            else:
-                var_bit = 0
-            if candidate_ok(cur_mask, v):
-                current.append(v)
-                yield from rec(current, cur_mask | (1 << v), used_vars | var_bit)
-                current.pop()
-
-    try:
-        yield from rec([], 0, 0)
-    finally:
-        # rec reaches itself through its closure cell, a cycle that would
-        # keep the host alive until the cyclic collector runs.
-        del rec
+    stack = [((), 0, 0)]  # (set, its mask, its variables), next visit on top
+    while stack:
+        current, mask, used = stack.pop()
+        yield current
+        children = []
+        for v in range(current[-1] + 1 if current else 0, n):
+            if (adj[v] & mask or var_bits[v] & used
+                    or rests[v] and not all(r & ~mask for r in rests[v])):
+                continue
+            children.append((current + (v,), mask | 1 << v, used | var_bits[v]))
+        # Pushed last to first, the children are visited in lexicographic order.
+        stack += reversed(children)

@@ -11,6 +11,10 @@ Instance formats (bit-exact round trip, canonical key order and edge order):
 A farness certificate binds its instance by instance_hash, the sha256 of the
 instance's compact canonical JSON; certify and the verify verbs both use it.
 
+Traces hold vertex sets as masks, written here as sorted lists (level edges
+in sorted list order) and read back by `_vertex_mask`, which requires
+distinct vertices of range(n) in increasing order.
+
 Rationals are serialized as exact "p/q" strings everywhere.  Every reader
 (instances, traces, certificates, the shpp spec) rejects a field of the wrong
 JSON type (a bool is not an integer) with a ValueError; the graph reader also
@@ -25,7 +29,7 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import Graph, Hypergraph, bits_of
+from .core import Graph, Hypergraph, bits_of, mask_of
 from .csp import Constraint, Csp
 from .containers_sat import ContainerTrace, LevelRecord, SatIteration
 from .containers_star import StarContainerTrace, StarIteration
@@ -63,6 +67,16 @@ def _int_tuple(value, what: str) -> tuple[int, ...]:
     if type(value) is not list or not all(type(v) is int for v in value):
         raise ValueError(f"{what} must be a JSON array of integers")
     return tuple(value)
+
+
+def _vertex_mask(value, n: int, what: str) -> int:
+    """The mask of value, if it is a JSON array of distinct vertices of
+    range(n) in increasing order."""
+    vs = _int_tuple(value, what)
+    if vs and not (0 <= vs[0] and vs[-1] < n and all(a < b for a, b in zip(vs, vs[1:]))):
+        raise ValueError(f"{what} must list distinct vertices of range({n}) "
+                         "in increasing order")
+    return mask_of(vs)
 
 
 def graph_from_dict(data: dict) -> Graph:
@@ -124,23 +138,23 @@ def container_trace_to_dict(trace: ContainerTrace) -> dict:
         "kind": "hypergraph-container-trace",
         "hypergraph": hypergraph_to_dict(trace.hypergraph),
         "n_bound": trace.n_bound,
-        "independent_set": list(trace.independent_set),
+        "independent_set": list(bits_of(trace.independent_set)),
         "extension_rule": "F_t = C_t = I for t beyond the recorded iterations",
         "deg_mode": "exact",
         "iterations": [
             {
                 "t": it.t,
                 "selected": list(it.selected),
-                "exclusions": [{"level": lvl, "vertices": list(xs)}
+                "exclusions": [{"level": lvl, "vertices": list(bits_of(xs))}
                                for lvl, xs in it.exclusions],
                 "levels": [
-                    {"ell": lv.ell, "vertices": list(lv.vertices),
-                     "edges": [list(e) for e in lv.edges]}
+                    {"ell": lv.ell, "vertices": list(bits_of(lv.vertices)),
+                     "edges": sorted(list(bits_of(e)) for e in lv.edges)}
                     for lv in it.levels
                 ],
-                "one_edge_removals": list(it.one_edge_removals),
-                "fingerprint": list(it.fingerprint),
-                "container": list(it.container),
+                "one_edge_removals": list(bits_of(it.one_edge_removals)),
+                "fingerprint": list(bits_of(it.fingerprint)),
+                "container": list(bits_of(it.container)),
                 "degenerate": it.degenerate,
                 "truncated": it.truncated,
             }
@@ -152,6 +166,7 @@ def container_trace_to_dict(trace: ContainerTrace) -> dict:
 def container_trace_from_dict(data: dict) -> ContainerTrace:
     if _checked(data.get("deg_mode", "exact"), str, "trace deg_mode") != "exact":
         raise ValueError(f'trace deg_mode must be "exact", got {data["deg_mode"]!r}')
+    h = hypergraph_from_dict(_checked(data["hypergraph"], dict, "trace hypergraph"))
     iterations = []
     for it in _checked(data["iterations"], list, "trace iterations"):
         _checked(it, dict, "a trace iteration")
@@ -159,31 +174,30 @@ def container_trace_from_dict(data: dict) -> ContainerTrace:
         for x in _checked(it["exclusions"], list, "iteration exclusions"):
             _checked(x, dict, "an exclusion")
             exclusions.append((_checked(x["level"], int, "exclusion level"),
-                               _int_tuple(x["vertices"], "exclusion vertices")))
+                               _vertex_mask(x["vertices"], h.n, "exclusion vertices")))
         levels = []
         for lv in _checked(it["levels"], list, "iteration levels"):
             _checked(lv, dict, "a level")
             levels.append(LevelRecord(
                 _checked(lv["ell"], int, "level ell"),
-                _int_tuple(lv["vertices"], "level vertices"),
-                tuple(_int_tuple(e, "a level edge")
-                      for e in _checked(lv["edges"], list, "level edges"))))
+                _vertex_mask(lv["vertices"], h.n, "level vertices"),
+                tuple(sorted(_vertex_mask(e, h.n, "a level edge")
+                             for e in _checked(lv["edges"], list, "level edges")))))
         iterations.append(SatIteration(
             t=_checked(it["t"], int, "iteration t"),
             selected=_int_tuple(it["selected"], "iteration selected"),
             exclusions=tuple(exclusions),
             levels=tuple(levels),
-            one_edge_removals=_int_tuple(it["one_edge_removals"],
-                                         "iteration one_edge_removals"),
-            fingerprint=_int_tuple(it["fingerprint"], "iteration fingerprint"),
-            container=_int_tuple(it["container"], "iteration container"),
+            one_edge_removals=_vertex_mask(it["one_edge_removals"], h.n,
+                                           "iteration one_edge_removals"),
+            fingerprint=_vertex_mask(it["fingerprint"], h.n, "iteration fingerprint"),
+            container=_vertex_mask(it["container"], h.n, "iteration container"),
             degenerate=_checked(it["degenerate"], bool, "iteration degenerate"),
             truncated=_checked(it["truncated"], bool, "iteration truncated"),
         ))
     return ContainerTrace(
-        hypergraph_from_dict(_checked(data["hypergraph"], dict, "trace hypergraph")),
-        _checked(data["n_bound"], int, "trace n_bound"),
-        _int_tuple(data["independent_set"], "trace independent_set"),
+        h, _checked(data["n_bound"], int, "trace n_bound"),
+        _vertex_mask(data["independent_set"], h.n, "trace independent_set"),
         tuple(iterations),
     )
 
@@ -192,19 +206,20 @@ def star_trace_to_dict(trace: StarContainerTrace) -> dict:
     return {
         "kind": "star-container-trace",
         "graph": graph_to_dict(trace.graph),
-        "independent_set": list(trace.independent_set),
+        "independent_set": list(bits_of(trace.independent_set)),
         "extension_rule": ("F_t = C_t = I and D_t = final D "
                            "for t beyond the recorded iterations"),
         "iterations": [
             {"t": it.t, "u": it.u, "v": it.v,
-             "fingerprint": list(it.fingerprint),
-             "inner": list(it.inner), "outer": list(it.outer)}
+             "fingerprint": list(bits_of(it.fingerprint)),
+             "inner": list(bits_of(it.inner)), "outer": list(bits_of(it.outer))}
             for it in trace.iterations
         ],
     }
 
 
 def star_trace_from_dict(data: dict) -> StarContainerTrace:
+    g = graph_from_dict(_checked(data["graph"], dict, "trace graph"))
     iterations = []
     for it in _checked(data["iterations"], list, "trace iterations"):
         _checked(it, dict, "a trace iteration")
@@ -212,13 +227,12 @@ def star_trace_from_dict(data: dict) -> StarContainerTrace:
             t=_checked(it["t"], int, "iteration t"),
             u=_checked(it["u"], int, "iteration u"),
             v=None if it["v"] is None else _checked(it["v"], int, "iteration v"),
-            fingerprint=_int_tuple(it["fingerprint"], "iteration fingerprint"),
-            inner=_int_tuple(it["inner"], "iteration inner"),
-            outer=_int_tuple(it["outer"], "iteration outer"),
+            fingerprint=_vertex_mask(it["fingerprint"], g.n, "iteration fingerprint"),
+            inner=_vertex_mask(it["inner"], g.n, "iteration inner"),
+            outer=_vertex_mask(it["outer"], g.n, "iteration outer"),
         ))
     return StarContainerTrace(
-        graph_from_dict(_checked(data["graph"], dict, "trace graph")),
-        _int_tuple(data["independent_set"], "trace independent_set"),
+        g, _vertex_mask(data["independent_set"], g.n, "trace independent_set"),
         tuple(iterations),
     )
 

@@ -226,12 +226,13 @@ def test_criterion_03_invariants_and_closure(criterion3_corpus):
             trace = run_generator(h, csp.n, iset)
             prev_f, prev_c = (), full
             for it in trace.iterations:
-                assert set(prev_f) <= set(it.fingerprint) <= set(iset)
-                assert set(it.container) <= set(prev_c)
-                assert set(iset) - set(it.fingerprint) <= set(it.container)
+                f, c = bits_of(it.fingerprint), bits_of(it.container)
+                assert set(prev_f) <= set(f) <= set(iset)
+                assert set(c) <= set(prev_c)
+                assert set(iset) - set(f) <= set(c)
                 assert len(set(it.selected)) == len(it.selected)
                 assert set(it.selected) <= set(iset)
-                prev_f, prev_c = it.fingerprint, it.container
+                prev_f, prev_c = f, c
             outcome = check_closure(h, csp.n, iset)
             assert outcome.ok, (csp, iset, outcome.first_mismatch_t)
             traces += 1
@@ -332,7 +333,7 @@ def test_criterion_08_gcl_star(far_graphs):
                 blocked_cache[iset] = blocked
             prev_f, prev_c, prev_d = set(), set(range(g.n)), set(range(g.n))
             for it in trace.iterations:
-                f, c, d = set(it.fingerprint), set(it.inner), set(it.outer)
+                f, c, d = (set(bits_of(m)) for m in (it.fingerprint, it.inner, it.outer))
                 assert prev_f <= f <= set(iset) <= c <= prev_c
                 assert c <= d <= prev_d
                 for w in range(g.n):
@@ -369,7 +370,7 @@ def test_criterion_09_shrinking_search(far_graphs):
         if t_limit < 1:
             continue
         t = int(rng.integers(0, t_limit))
-        d_mask = mask_of(trace.outer_at(t + 1))
+        d_mask = trace.outer_at(t + 1)
         if d_mask == 0:
             continue
         if rng.random() < 0.5:

@@ -68,6 +68,30 @@ def test_instance_json_roundtrip_bit_exact(tmp_path, triangle_csp, k4):
     assert csp_text == again
 
 
+def test_trace_json_roundtrip_equal_and_bit_exact():
+    from fractions import Fraction
+
+    from container_bench import (build_hypergraph, enumerate_independent_sets,
+                                 gen_er_graph, gen_random_csp, run_generator,
+                                 run_star_generator)
+
+    runs = []
+    for seed in range(3):
+        g = gen_er_graph(8, Fraction(2, 5), seed=seed)
+        runs += [(serialize.star_trace_to_dict, serialize.star_trace_from_dict,
+                  run_star_generator(g, iset)) for iset in enumerate_independent_sets(g)]
+        csp = gen_random_csp(5, 2, 2 + seed % 2, Fraction(7, 10), Fraction(1, 2), seed)
+        h = build_hypergraph(csp)
+        runs += [(serialize.container_trace_to_dict, serialize.container_trace_from_dict,
+                  run_generator(h, csp.n, iset)) for iset in enumerate_independent_sets(h)]
+    assert len(runs) > 500
+    for to_dict, from_dict, trace in runs:
+        text = serialize.canonical_dumps(to_dict(trace))
+        back = from_dict(json.loads(text))
+        assert back == trace
+        assert serialize.canonical_dumps(to_dict(back)) == text
+
+
 def test_malformed_epsilon_is_usage_error(triangle_csp_file, capsys):
     with pytest.raises(SystemExit) as exc:
         run_cli("dist-csp", "--csp", str(triangle_csp_file), "--epsilon", "0.1")
@@ -132,6 +156,18 @@ def test_containers_star_csv(k4_file, tmp_path):
     lines = out.read_text().strip().splitlines()
     assert lines[0] == "independent_set,t,fingerprint_size,inner_size,outer_size"
     assert len(lines) == 5  # four singleton cores, empty core has no rows
+
+
+@pytest.mark.parametrize("vertex", ["10000000", "-1"])
+def test_out_of_range_independent_set_is_one_short_error(tmp_path, capsys, vertex):
+    path = tmp_path / "g.json"
+    path.write_text(serialize.canonical_dumps({"n": 3, "edges": [[0, 1]]}))
+    capsys.readouterr()
+    assert run_cli("containers-star", "--graph", str(path),
+                   "--independent-set", vertex, "--format", "csv") == 2
+    err = capsys.readouterr().err
+    assert err == f"error: vertex {vertex} out of range for n=3\n"
+    assert len(err) < 200
 
 
 def make_corpus(tmp_path, entries) -> Path:
@@ -924,6 +960,9 @@ def test_well_formed_traces_replay_clean(tmp_path, triangle_csp):
     ("sat", "container", ["a"]), ("sat", "selected", [0.5]), ("sat", "t", "1"),
     ("sat", "degenerate", 0), ("sat", "levels", [1]), ("sat", "exclusions", "x"),
     ("sat", "deg_mode", "greedy"),
+    ("sat", "container", [0, 6]), ("star", "fingerprint", [2, 0]),
+    ("star", "inner", [0, 0]), ("sat", "fingerprint", [-1]),
+    ("star", "outer", [10**8]),
 ])
 def test_malformed_trace_field_is_usage_error(tmp_path, capsys, triangle_csp,
                                               kind, field, value):
@@ -935,7 +974,7 @@ def test_malformed_trace_field_is_usage_error(tmp_path, capsys, triangle_csp,
     assert run_cli("verify", "closure", "--trace", str(path),
                    "--out", str(tmp_path / "r.json")) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error:") and err.count("\n") == 1
+    assert err.startswith("error:") and err.count("\n") == 1 and len(err) < 200
     assert not (tmp_path / "r.json").exists()
 
 

@@ -4,17 +4,21 @@ import pickle
 import random
 import weakref
 from fractions import Fraction
+from functools import partial
 
 import pytest
 
 from container_bench import (
     Graph,
     NotFarError,
+    StarContainerTrace,
+    build_hypergraph,
     check_shrinking,
     check_star_closure,
     distance_to_rho_is,
     enumerate_independent_sets,
     gen_er_graph,
+    run_generator,
     run_star_generator,
     verify_gcl_star,
 )
@@ -74,16 +78,16 @@ def test_star_generator_hand_simulation():
     assert trace.iteration_count == 1
     it = trace.iterations[0]
     assert (it.u, it.v) == (2, 3)
-    assert it.fingerprint == (2, 3)
-    assert it.inner == (2, 3)
-    assert it.outer == (0, 1, 2, 3)
+    assert bits_of(it.fingerprint) == (2, 3)
+    assert bits_of(it.inner) == (2, 3)
+    assert bits_of(it.outer) == (0, 1, 2, 3)
 
 
 def test_star_generator_empty_set(k4):
     trace = run_star_generator(k4, ())
     assert trace.iterations == ()
-    assert trace.inner_at(3) == ()
-    assert trace.outer_at(3) == (0, 1, 2, 3)
+    assert bits_of(trace.inner_at(3)) == ()
+    assert bits_of(trace.outer_at(3)) == (0, 1, 2, 3)
 
 
 def test_star_generator_rejects_dependent_set(k4):
@@ -96,7 +100,7 @@ def test_star_generator_odd_core_truncates():
     trace = run_star_generator(g, (0, 2, 4))
     last = trace.iterations[-1]
     assert last.v is None
-    assert trace.fingerprint_at(trace.iteration_count) == (0, 2, 4)
+    assert bits_of(trace.fingerprint_at(trace.iteration_count)) == (0, 2, 4)
 
 
 def test_star_trace_invariants_exhaustive_small():
@@ -111,7 +115,7 @@ def test_star_trace_invariants_exhaustive_small():
                 blocked |= g.adj[v]
             prev_f, prev_c, prev_d = set(), set(range(7)), set(range(7))
             for it in trace.iterations:
-                f, c, d = set(it.fingerprint), set(it.inner), set(it.outer)
+                f, c, d = (set(bits_of(m)) for m in (it.fingerprint, it.inner, it.outer))
                 assert prev_f <= f <= set(iset) <= c <= prev_c
                 assert c <= d <= prev_d
                 # no-neighbour-in-I vertices survive in D forever
@@ -137,7 +141,7 @@ def test_star_containment_of_every_star():
                     ok, _ = is_star(g, iset, outer)
                     assert ok
                     for t in range(trace.iteration_count + 2):
-                        assert set(outer) <= set(trace.outer_at(t))
+                        assert set(outer) <= set(bits_of(trace.outer_at(t)))
 
 
 def test_star_closure_exhaustive_small():
@@ -187,8 +191,8 @@ def _reference_star_iterations(g: Graph, independent_set):
 
 
 def _as_rows(trace):
-    return [(it.t, it.u, it.v, it.fingerprint, it.inner, it.outer)
-            for it in trace.iterations]
+    return [(it.t, it.u, it.v, bits_of(it.fingerprint), bits_of(it.inner),
+             bits_of(it.outer)) for it in trace.iterations]
 
 
 def _differential_graphs():
@@ -211,7 +215,7 @@ def test_star_generator_matches_reference_cold_and_warm():
         want = {iset: _reference_star_iterations(g, iset) for iset in isets}
         for iset in isets:  # cold: the first run of each set on this graph
             trace = run_star_generator(g, iset)
-            assert trace.independent_set == iset
+            assert bits_of(trace.independent_set) == iset
             assert _as_rows(trace) == want[iset], (g, iset)
         assert len(g.__dict__["_memo"]) == len(isets)
         for iset in reversed(isets):  # warm: every set is a memo hit
@@ -220,13 +224,31 @@ def test_star_generator_matches_reference_cold_and_warm():
     assert pairs >= 1000
 
 
-def test_star_iteration_fields_read_as_tuples():
+def _vertex_sets(trace) -> list:
+    """Every vertex set a trace holds or its accessors return."""
+    star = isinstance(trace, StarContainerTrace)
+    names = ("fingerprint", "inner", "outer") if star else ("fingerprint", "container")
+    sets = [trace.independent_set]
+    for t in range(trace.iteration_count + 2):
+        sets += [getattr(trace, f"{name}_at")(t) for name in names]
+    for it in trace.iterations:
+        sets += [getattr(it, name) for name in names]
+        if not star:
+            sets += [it.one_edge_removals, *(xs for _, xs in it.exclusions)]
+            for level in it.levels:
+                sets += [level.vertices, *level.edges]
+    return sets
+
+
+def test_trace_vertex_sets_are_int_masks(triangle_csp, nae_csp):
     g = gen_er_graph(9, Fraction(1, 3), seed=2)
-    iset = max(enumerate_independent_sets(g), key=len)
-    for trace in (run_star_generator(g, iset), run_star_generator(g, iset)):
-        for it in trace.iterations:
-            for field in (it.fingerprint, it.inner, it.outer):
-                assert type(field) is tuple and all(type(w) is int for w in field)
+    runs = [partial(run_star_generator, g, max(enumerate_independent_sets(g), key=len))]
+    runs += [partial(run_generator, build_hypergraph(csp), 3, iset)
+             for csp, iset in ((triangle_csp, (0, 3)), (nae_csp, (0, 3, 4)))]
+    for run in runs:
+        for trace in (run(), run()):  # cold, then replayed from the memo
+            assert trace.iterations
+            assert all(type(m) is int for m in _vertex_sets(trace))
 
 
 # ---------------------------------------------------------------- star memo
@@ -481,7 +503,7 @@ def test_shrinking_d_equals_next_outer():
             continue
         trace = run_star_generator(g, iset)
         t = 0
-        d_next = trace.outer_at(t + 1)
+        d_next = bits_of(trace.outer_at(t + 1))
         alpha = rho - Fraction(len(d_next), g.n)
         out = check_shrinking(g, rho, eps, trace, t, d_next, alpha,
                               distance=dist)
@@ -523,7 +545,7 @@ def test_shrinking_randomized_search_no_counterexample():
                 continue
             for _ in range(20):
                 t = int(rng.integers(0, t_limit))
-                d_mask = mask_of(trace.outer_at(t + 1))
+                d_mask = trace.outer_at(t + 1)
                 if d_mask == 0:
                     continue
                 keep = int(rng.integers(1, d_mask.bit_count() + 1))
@@ -546,9 +568,9 @@ def fraction_check_shrinking(g, rho, epsilon, trace, t, d_set, alpha, distance):
     rho, epsilon, alpha = Fraction(rho), Fraction(epsilon), Fraction(alpha)
     n = g.n
     d_mask = as_mask(d_set, n)
-    dt_mask = mask_of(trace.outer_at(t))
-    dt1_mask = mask_of(trace.outer_at(t + 1))
-    ct1_mask = mask_of(trace.inner_at(t + 1))
+    dt_mask = trace.outer_at(t)
+    dt1_mask = trace.outer_at(t + 1)
+    ct1_mask = trace.inner_at(t + 1)
     d_size = d_mask.bit_count()
     want = (rho - alpha) * n
     want_ceil = -((-want.numerator) // want.denominator)
@@ -601,9 +623,9 @@ def shrinking_cases(draw):
     iset = draw(st.sampled_from(isets))
     trace = run_star_generator(g, iset)
     t = draw(st.integers(0, (len(iset) - 1) // 2))
-    d_mask = mask_of(draw(st.lists(st.sampled_from(trace.outer_at(t + 1)),
+    d_mask = mask_of(draw(st.lists(st.sampled_from(bits_of(trace.outer_at(t + 1))),
                                    unique=True)))
-    d_size, dt_size = d_mask.bit_count(), len(trace.outer_at(t))
+    d_size, dt_size = d_mask.bit_count(), trace.outer_at(t).bit_count()
     if not draw(st.booleans()) or d_size >= dt_size:
         rho = draw(_rationals.filter(lambda r: 0 < r <= 1))
         return g, trace, t, d_mask, rho, draw(_rationals.filter(lambda e: e > 0)), \
@@ -612,7 +634,7 @@ def shrinking_cases(draw):
     rho = Fraction(draw(st.integers(d_size * scale + 1, dt_size * scale)), n * scale)
     # An off-by-one size target makes near misses instead of premise hits.
     alpha = rho - Fraction(d_size + draw(st.sampled_from([0, 0, -1, 1])), n)
-    inter = (d_mask & mask_of(trace.inner_at(t + 1))).bit_count()
+    inter = (d_mask & trace.inner_at(t + 1)).bit_count()
     eps = max(4 * alpha * alpha,
               Fraction(8 * g.edges_inside(d_mask), 3 * n * n),
               4 * max(rho - Fraction(inter, n), Fraction(0)) ** 2)

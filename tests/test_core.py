@@ -89,7 +89,7 @@ def test_enumerate_empty_graph_all_subsets():
 
 
 def test_enumerate_triangle_size_two(triangle_graph):
-    assert list(enumerate_independent_sets(triangle_graph, size=2)) == []
+    assert [s for s in enumerate_independent_sets(triangle_graph) if len(s) == 2] == []
 
 
 def test_enumerate_variable_distinct_triangle_coloring(triangle_csp):
@@ -99,7 +99,8 @@ def test_enumerate_variable_distinct_triangle_coloring(triangle_csp):
     from container_bench import build_hypergraph
 
     h = build_hypergraph(triangle_csp)
-    got = list(enumerate_independent_sets(h, size=3, variable_distinct=True))
+    got = [s for s in enumerate_independent_sets(h, variable_distinct=True)
+           if len(s) == 3]
     assert got == []
     oracle = oracle_independent_sets(h, size=3, variable_distinct=True)
     assert oracle == []
@@ -116,7 +117,7 @@ def test_enumerate_cap(monkeypatch):
     with pytest.raises(WorkCapExceeded):
         list(enumerate_independent_sets(g))
     monkeypatch.setattr(core, "ENUMERATION_CAP", 31)
-    assert len(list(enumerate_independent_sets(g, size=0))) == 1
+    assert next(enumerate_independent_sets(g)) == ()
 
 
 @pytest.mark.parametrize("exhaust", [True, False])
@@ -206,6 +207,36 @@ def test_enumeration_matches_subset_filter_at_cap_scale():
             if is_independent(host, sub)
         )
         assert got == expected
+
+
+def _enumeration_hosts():
+    """(host, variable_distinct) pairs: seeded graphs, unlabelled 3-uniform
+    hypergraphs and CSP encodings (labelled), the last with and without
+    variable_distinct; at most 8 vertices each."""
+    from fractions import Fraction
+
+    from container_bench import build_hypergraph, gen_er_graph, gen_random_csp
+    from container_bench import gen_random_hypergraph
+
+    for seed in range(400):
+        density = Fraction(1 + seed % 7, 8)
+        yield gen_er_graph(seed % 9, density, seed=seed), False
+        yield gen_random_hypergraph(3 + seed % 6, 3, density / 2, seed=seed), False
+        n, k = (2, 3) if seed % 4 == 0 else (2 + seed % 3, 2)  # n * k <= 8
+        csp = gen_random_csp(n, k, 2 + seed % 2 * (n > 2), density, Fraction(1, 2),
+                             seed=seed)
+        yield build_hypergraph(csp), False
+        yield build_hypergraph(csp), True
+
+
+def test_enumeration_order_matches_the_oracle_exactly():
+    hosts = 0
+    for host, variable_distinct in _enumeration_hosts():
+        got = list(enumerate_independent_sets(host, variable_distinct=variable_distinct))
+        assert got == sorted(oracle_independent_sets(
+            host, variable_distinct=variable_distinct)), (host, variable_distinct)
+        hosts += 1
+    assert hosts >= 1000
 
 
 def test_comb_exceeds_agrees_with_math_comb():

@@ -236,8 +236,8 @@ def test_observation_edge_count_equals_falsified_small_sweep():
 def test_satisfiable_iff_full_variable_distinct_independent_set(triangle_csp, nae_csp):
     for csp in (triangle_csp, nae_csp):
         h = build_hypergraph(csp)
-        full = [s for s in enumerate_independent_sets(h, size=csp.n,
-                                                      variable_distinct=True)]
+        full = [s for s in enumerate_independent_sets(h, variable_distinct=True)
+                if len(s) == csp.n]
         assert bool(full) == is_satisfiable(csp).satisfiable
 
 

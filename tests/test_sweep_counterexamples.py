@@ -191,7 +191,7 @@ def test_container_degree_record(monkeypatch, capsys, tmp_path, csp_corpus):
         return replace(outcome, ok=False, records=(replace(first, ok=False), *rest))
 
     # check_container_degree(trace, k, n): the trace carries the set.
-    chosen = lambda args: args[2] == 5 and len(args[0].independent_set) >= 2
+    chosen = lambda args: args[2] == 5 and args[0].independent_set.bit_count() >= 2
     wrapper = _failing("check_container_degree", chosen, fail)
     record, digest = _run_failing(monkeypatch, capsys, tmp_path,
                                   "check_container_degree", wrapper,
