@@ -3,12 +3,13 @@ testing via reduction to satisfiability, the two-sample independent-set-star
 tester, and the canonical independent-set baseline.
 
 TesterSpec.of binds a tester for a run, once: it reads the options, derives
-the sample sizes, checks the k^s cap and builds a color or shpp reduction.
-run_tester, one trial, is the one dispatch over tester kinds: sat, color and
-shpp all run canonical_sat_tester, and a color or shpp report is relabelled.
+the sample sizes and thresholds, makes every refusal, builds a color or shpp
+reduction and fixes the reports' kind and params.  A trial (star_tester,
+canonical_sat_tester or canonical_is_tester, given the spec, an rng and the
+seed) only draws its sample and decides; run_tester is the one dispatch.
 
-Every tester run is a pure function of (instance, params, seed); reports echo
-the resolved parameters, the generator name, and exact query accounting.
+Every tester run is a pure function of (spec, seed); reports echo the
+resolved parameters, the generator name, and exact query accounting.
 A graph tester reads the pairs it queries as one mask per sampled vertex, and
 reports the exact count of distinct pairs those masks cover.  A satisfiability
 verdict is a pure function of (CSP, sample set), so canonical_sat_tester keeps
@@ -17,7 +18,7 @@ each one in a memo on the Csp, keyed on the sorted sample.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from typing import Mapping, Optional, Sequence
 
@@ -114,14 +115,14 @@ class TesterReport:
         return self.verdict == "accept"
 
 
-def canonical_sat_tester(csp: Csp, params: SatTesterParams,
-                         rng: np.random.Generator, seed: int = 0) -> TesterReport:
+def canonical_sat_tester(spec: TesterSpec, rng: np.random.Generator,
+                         seed: int = 0) -> TesterReport:
     """Sample s variables without replacement; accept iff phi[S], the
     constraints inside the sample S, is satisfiable.  One-sided: a satisfiable
     instance is accepted on every seed.
     """
-    s = params.resolve_s(csp.n, csp.k, csp.q)
-    sample = sample_without_replacement(rng, csp.n, s)
+    csp = spec.instance
+    sample = sample_without_replacement(rng, csp.n, spec.s)
     # phi[S] satisfiable, by S sorted: a key of s ints, where a mask would
     # take n bits per distinct sample.
     verdicts = memo_of(csp, lambda _: {})
@@ -130,13 +131,12 @@ def canonical_sat_tester(csp: Csp, params: SatTesterParams,
     if satisfiable is None:
         satisfiable = verdicts[key] = is_satisfiable(csp, sample).satisfiable
     return TesterReport(
-        kind="canonical-sat",
+        kind=spec.report_kind,
         verdict="accept" if satisfiable else "reject",
         seed=seed,
         generator=GENERATOR_NAME,
-        params={"epsilon": str(params.epsilon), "s": s, "c": str(params.c)},
+        params=spec.report_params,
         sample=sample,
-        query_count=None,
     )
 
 
@@ -144,13 +144,8 @@ def colorability_to_sat(h: Hypergraph, k: int) -> Csp:
     """One variable per vertex over [k]; each edge forbids the k all-equal
     assignments, so satisfiability is exactly k-colorability and the distance
     to satisfiability equals the distance to colorability."""
-    if k < 1:
-        raise ValueError("need at least one colour")
     all_equal = tuple((a,) * h.q for a in range(k))
-    constraints = []
-    for e in h.edges:
-        constraints.append((bits_of(e), all_equal))
-    return Csp.of(h.n, k, h.q, constraints)
+    return Csp.of(h.n, k, h.q, [(bits_of(e), all_equal) for e in h.edges])
 
 
 @dataclass(frozen=True)
@@ -177,16 +172,6 @@ class SHPPSpec:
             for j in range(self.k):
                 if self.lower[i][j] > self.upper[i][j]:
                     raise ValueError(f"lower[{i}][{j}] exceeds upper[{i}][{j}]")
-
-    def pi0(self) -> frozenset[tuple[int, int]]:
-        """Part pairs compatible with a non-adjacent vertex pair."""
-        return frozenset((i, j) for i in range(self.k) for j in range(self.k)
-                         if self.lower[i][j] == 0)
-
-    def pi1(self) -> frozenset[tuple[int, int]]:
-        """Part pairs compatible with an adjacent vertex pair."""
-        return frozenset((i, j) for i in range(self.k) for j in range(self.k)
-                         if self.upper[i][j] == 1)
 
     def pair_allowed(self, adjacent: bool, a: int, b: int) -> bool:
         bounds, allowed = (self.upper, 1) if adjacent else (self.lower, 0)
@@ -227,28 +212,22 @@ def has_independent_set_of_size(adj: Mapping[int, int] | Sequence[int],
     return False
 
 
-def star_tester(graph: Graph, params: StarTesterParams,
-                rng: np.random.Generator, seed: int = 0) -> TesterReport:
+def star_tester(spec: TesterSpec, rng: np.random.Generator,
+                seed: int = 0) -> TesterReport:
     """Draw a core sample R and a body sample S; query all pairs inside R and
     all R x S pairs; accept iff some independent core I of size ceil(rho r)
     inside R leaves at least ceil(rho s) vertices of S with no edge into it
     (core members of S count themselves).
     """
+    graph, r, m_core, m_body = spec.instance, spec.r, spec.m_r, spec.m_s
     n = graph.n
-    r, s = params.resolve(n)
-    if params.disjoint and r + s > n:
-        raise ValueError(f"disjoint samples need r + s <= n, got {r}+{s} > {n}")
     core = sample_without_replacement(rng, n, r)
-    if params.disjoint:
+    if spec.disjoint:
         outside = sorted(set(range(n)).difference(core))
-        picks = sample_without_replacement(rng, len(outside), s)
+        picks = sample_without_replacement(rng, len(outside), spec.s)
         body = tuple(outside[i] for i in picks)
     else:
-        body = sample_without_replacement(rng, n, s)
-
-    m_core = ceil_frac(params.rho * r)
-    m_body = ceil_frac(params.rho * s)
-    check_subset_cap(r, m_core)
+        body = sample_without_replacement(rng, n, spec.s)
 
     core_list = sorted(core)
     body_mask = mask_of(body)
@@ -286,13 +265,11 @@ def star_tester(graph: Graph, params: StarTesterParams,
                 stack.append((idx + 1, core_mask | (1 << v), size + 1))
 
     return TesterReport(
-        kind="star",
+        kind=spec.report_kind,
         verdict="reject" if witness is None else "accept",
         seed=seed,
         generator=GENERATOR_NAME,
-        params={"rho": str(params.rho), "epsilon": str(params.epsilon),
-                "r": r, "s": s, "c1": str(params.c1), "c2": str(params.c2),
-                "disjoint": params.disjoint},
+        params=spec.report_params,
         sample=body,
         core_sample=core,
         query_count=query_count,
@@ -300,28 +277,24 @@ def star_tester(graph: Graph, params: StarTesterParams,
     )
 
 
-def canonical_is_tester(graph: Graph, rho: Fraction, sample_size: int,
-                        rng: np.random.Generator, seed: int = 0) -> TesterReport:
+def canonical_is_tester(spec: TesterSpec, rng: np.random.Generator,
+                        seed: int = 0) -> TesterReport:
     """Baseline: sample vertices, query every pair among them, accept iff the
     induced subgraph has an independent set on ceil(rho * |S|) vertices."""
-    n = graph.n
-    if not 1 <= sample_size <= n:
-        raise ValueError(f"sample size {sample_size} must lie in [1, {n}]")
-    target = ceil_frac(Fraction(rho) * sample_size)
-    check_subset_cap(sample_size, target)
-    sample = sample_without_replacement(rng, n, sample_size)
+    graph, s = spec.instance, spec.s
+    sample = sample_without_replacement(rng, graph.n, s)
     sample_mask = mask_of(sample)
     # The queried pairs, every pair inside S: C(s, 2) distinct pairs.
     adj_known = {u: graph.adj[u] & sample_mask for u in sample}
-    accepted = has_independent_set_of_size(adj_known, sample_mask, target)
+    accepted = has_independent_set_of_size(adj_known, sample_mask, spec.m_s)
     return TesterReport(
-        kind="canonical-is",
+        kind=spec.report_kind,
         verdict="accept" if accepted else "reject",
         seed=seed,
         generator=GENERATOR_NAME,
-        params={"rho": str(Fraction(rho)), "s": sample_size},
+        params=spec.report_params,
         sample=sample,
-        query_count=sample_size * (sample_size - 1) // 2,
+        query_count=s * (s - 1) // 2,
     )
 
 
@@ -332,27 +305,47 @@ def _params_of(cls, options: dict):
 
 @dataclass(frozen=True)
 class TesterSpec:
-    """A tester bound for a run: its kind, the instance it samples (the
-    reduced CSP for color and shpp) and params with every size resolved."""
+    """A tester bound for a run: the instance it samples (the reduced CSP for
+    color and shpp), its sample sizes and thresholds, and its reports' kind
+    and params, each fixed once by TesterSpec.of."""
 
     __test__ = False  # not a pytest class, despite the name
 
     kind: str  # sat | color | shpp | indepset | canonical-is
     instance: object
-    params: object  # SatTesterParams, StarTesterParams, or (rho, s) for canonical-is
+    report_kind: str
+    report_params: dict
+    s: int  # the sample size; the star tester's body sample
+    r: int = 0  # the star tester's core sample
+    m_r: int = 0  # ceil(rho r), the size of a star core
+    m_s: int = 0  # ceil(rho s): a star's body threshold, canonical-is's set size
+    disjoint: bool = False
 
     @classmethod
     def of(cls, kind: str, instance, options: dict) -> "TesterSpec":
-        """Bind the named tester to instance.  options holds its params'
-        fields by name, plus k for color, the SHPPSpec as spec for shpp, and
-        rho and s for canonical-is.  sat, color and shpp establish k >= 1,
-        resolve s, check the k^s assignment cap, then reduce."""
+        """Bind the named tester to instance, or refuse.  options holds its
+        params' fields by name, plus k for color, the SHPPSpec as spec for
+        shpp, and rho and s for canonical-is.  sat, color and shpp establish
+        k >= 1, resolve s, check the k^s assignment cap, then reduce."""
+        n = instance.n
         if kind == "indepset":
-            params = _params_of(StarTesterParams, options)
-            r, s = params.resolve(instance.n)
-            return cls(kind, instance, replace(params, r=r, s=s))
+            p = _params_of(StarTesterParams, options)
+            r, s = p.resolve(n)
+            if p.disjoint and r + s > n:
+                raise ValueError(f"disjoint samples need r + s <= n, got {r}+{s} > {n}")
+            m_r = ceil_frac(p.rho * r)
+            check_subset_cap(r, m_r)
+            params = {"rho": str(p.rho), "epsilon": str(p.epsilon), "r": r, "s": s,
+                      "c1": str(p.c1), "c2": str(p.c2), "disjoint": p.disjoint}
+            return cls(kind, instance, "star", params, s, r, m_r,
+                       ceil_frac(p.rho * s), p.disjoint)
         if kind == "canonical-is":
-            return cls(kind, instance, (options["rho"], options["s"]))
+            rho, s = Fraction(options["rho"]), options["s"]
+            if not 1 <= s <= n:
+                raise ValueError(f"sample size {s} must lie in [1, {n}]")
+            m_s = ceil_frac(rho * s)
+            check_subset_cap(s, m_s)
+            return cls(kind, instance, kind, {"rho": str(rho), "s": s}, s, m_s=m_s)
         if kind == "sat":
             k, q = instance.k, instance.q
         elif kind == "color":
@@ -363,24 +356,24 @@ class TesterSpec:
             k, q = options["spec"].k, 2
         else:
             raise ValueError(f"unknown tester kind {kind!r}")
-        params = _params_of(SatTesterParams, options)
-        params = replace(params, s=params.resolve_s(instance.n, k, q))
-        check_assignment_cap(k, params.s)  # before a reduction builds its tuples
+        p = _params_of(SatTesterParams, options)
+        s = p.resolve_s(n, k, q)
+        check_assignment_cap(k, s)  # before a reduction builds its tuples
+        params = {"epsilon": str(p.epsilon), "s": s, "c": str(p.c)}
+        if kind == "sat":
+            return cls(kind, instance, "canonical-sat", params, s)
         if kind == "color":
             instance = colorability_to_sat(instance, k)
-        elif kind == "shpp":
+        else:
             instance = shpp_to_sat(instance, options["spec"])
-        return cls(kind, instance, params)
+        return cls(kind, instance, kind, {**params, "k": k}, s)
 
 
 def run_tester(spec: TesterSpec, seed: int) -> TesterReport:
     """One trial of the bound tester, seeded by seed."""
     rng = make_rng(seed)
     if spec.kind == "indepset":
-        return star_tester(spec.instance, spec.params, rng, seed)
+        return star_tester(spec, rng, seed)
     if spec.kind == "canonical-is":
-        return canonical_is_tester(spec.instance, *spec.params, rng, seed)
-    report = canonical_sat_tester(spec.instance, spec.params, rng, seed)
-    if spec.kind == "sat":
-        return report
-    return replace(report, kind=spec.kind, params={**report.params, "k": spec.instance.k})
+        return canonical_is_tester(spec, rng, seed)
+    return canonical_sat_tester(spec, rng, seed)

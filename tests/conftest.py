@@ -118,15 +118,26 @@ def assignment_of_vertex_set(csp: Csp, vertices) -> dict[int, int]:
     return assignment
 
 
+def independence_oracle(host):
+    """vertices -> whether no edge of host lies inside them; the host's edge
+    list is built once, for every check the returned function makes."""
+    edges = [set(e) for e in edge_lists(host)]
+
+    def independent(vertices) -> bool:
+        chosen = set(vertices)
+        return all(not e <= chosen for e in edges)
+    return independent
+
+
 def oracle_is_independent(host, vertices) -> bool:
-    chosen = set(vertices)
-    return all(not set(e) <= chosen for e in edge_lists(host))
+    return independence_oracle(host)(vertices)
 
 
 def oracle_independent_sets(host, size=None, variable_distinct=False):
     """All independent sets by filtering every subset, lexicographic order."""
     n = host.n
     labels = getattr(host, "labels", None)
+    independent = independence_oracle(host)
     found = []
     for sub in subsets(range(n)):
         if size is not None and len(sub) != size:
@@ -135,7 +146,7 @@ def oracle_independent_sets(host, size=None, variable_distinct=False):
             vs = [labels[v][0] for v in sub]
             if len(set(vs)) != len(vs):
                 continue
-        if oracle_is_independent(host, sub):
+        if independent(sub):
             found.append(tuple(sub))
     return sorted(found)
 
@@ -181,8 +192,9 @@ def oracle_min_edges_subset(g: Graph, size: int) -> tuple[int, tuple[int, ...]]:
 
 def oracle_max_independent_set(g: Graph) -> int:
     best = 0
+    independent = independence_oracle(g)
     for sub in subsets(range(g.n)):
-        if oracle_is_independent(g, sub):
+        if independent(sub):
             best = max(best, len(sub))
     return best
 

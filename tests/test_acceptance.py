@@ -23,9 +23,8 @@ from container_bench import (
     Graph,
     Hypergraph,
     SHPPSpec,
-    SatTesterParams,
     StarBounds,
-    StarTesterParams,
+    TesterSpec,
     build_hypergraph,
     canonical_is_tester,
     canonical_sat_tester,
@@ -184,12 +183,13 @@ def test_criterion_01_one_sided_exact():
     for idx in range(200):
         n, k, q = shapes[idx % len(shapes)]
         csp, _ = gen_planted_sat_csp(n, k, q, Fraction(1, 2), seed=5000 + idx)
-        params = {s: SatTesterParams(Fraction(1, 4), s=s) for s in range(2, n + 1)}
+        specs = {s: TesterSpec.of("sat", csp, {"epsilon": Fraction(1, 4), "s": s})
+                 for s in range(2, n + 1)}
         for s in range(2, n + 1):
             for _ in range(50):
                 counter += 1
                 seed = substream_seed(424242, counter)
-                report = canonical_sat_tester(csp, params[s], make_rng(seed), seed)
+                report = canonical_sat_tester(specs[s], make_rng(seed), seed)
                 runs += 1
                 assert report.accepted, (idx, s, seed)
     elapsed = time.monotonic() - start
@@ -394,13 +394,13 @@ def test_criterion_09_shrinking_search(far_graphs):
 def test_criterion_10_star_completeness():
     start = time.monotonic()
     g = gen_planted_is_graph(40, Fraction(1, 2), Fraction(1), seed=606060)
-    params = StarTesterParams(rho=Fraction(1, 2), epsilon=Fraction(1, 100),
-                              r=8, s=16)
+    spec = TesterSpec.of("indepset", g, {"rho": Fraction(1, 2),
+                                         "epsilon": Fraction(1, 100), "r": 8, "s": 16})
     accepts = 0
     trials = 2000
     for i in range(trials):
         seed = substream_seed(777777, i)
-        report = star_tester(g, params, make_rng(seed), seed)
+        report = star_tester(spec, make_rng(seed), seed)
         accepts += report.accepted
     rate = accepts / trials
     low, _high = wilson_interval(accepts, trials)
@@ -423,9 +423,9 @@ def test_criterion_11_star_exactness(far_graphs):
     for idx, g in enumerate(cases):
         target = -((-rho.numerator * g.n) // rho.denominator)
         expected = oracle_max_independent_set(g) >= target
-        params = StarTesterParams(rho=rho, epsilon=Fraction(1, 100),
-                                  r=g.n, s=g.n)
-        report = star_tester(g, params, make_rng(substream_seed(14000, idx)))
+        spec = TesterSpec.of("indepset", g, {"rho": rho, "epsilon": Fraction(1, 100),
+                                             "r": g.n, "s": g.n})
+        report = star_tester(spec, make_rng(substream_seed(14000, idx)))
         assert report.accepted == expected, idx
     print(f"  {len(cases)} graphs", end="")
 
@@ -436,16 +436,17 @@ def test_criterion_12_query_accounting():
     for seed in range(60):
         g = gen_er_graph(13 + seed % 3, Fraction(1, 2), seed=15000 + seed)
         r, s = 4 + seed % 2, 7 + seed % 2
-        params = StarTesterParams(rho=rho, epsilon=Fraction(1, 8), r=r, s=s,
-                                  disjoint=bool(seed % 5 == 0))
-        report = star_tester(g, params, make_rng(substream_seed(16000, seed)))
+        spec = TesterSpec.of("indepset", g, {"rho": rho, "epsilon": Fraction(1, 8), "r": r,
+                                             "s": s, "disjoint": seed % 5 == 0})
+        report = star_tester(spec, make_rng(substream_seed(16000, seed)))
         rset, sset = set(report.core_sample), set(report.sample)
         pairs = {frozenset((a, b)) for a in rset for b in rset if a != b}
         pairs |= {frozenset((a, b)) for a in rset for b in sset if a != b}
         assert report.query_count == len(pairs)
         assert report.query_count <= math.comb(r, 2) + r * s
-        baseline = canonical_is_tester(g, rho, r + s - 2,
-                                       make_rng(substream_seed(17000, seed)))
+        baseline = canonical_is_tester(
+            TesterSpec.of("canonical-is", g, {"rho": rho, "s": r + s - 2}),
+            make_rng(substream_seed(17000, seed)))
         assert baseline.query_count == math.comb(r + s - 2, 2)
 
 
@@ -524,10 +525,10 @@ def test_criterion_14_soundness_trend(far_csps):
         intervals = {}
         for s in range(2, csp.n + 1):
             rejects = 0
-            params = SatTesterParams(Fraction(1, 4), s=s)
+            spec = TesterSpec.of("sat", csp, {"epsilon": Fraction(1, 4), "s": s})
             for i in range(trials):
                 seed = substream_seed(909090 + idx, s * trials + i)
-                report = canonical_sat_tester(csp, params, make_rng(seed), seed)
+                report = canonical_sat_tester(spec, make_rng(seed), seed)
                 rejects += not report.accepted
             rates[s] = rejects / trials
             intervals[s] = wilson_interval(rejects, trials)

@@ -950,6 +950,46 @@ def test_well_formed_traces_replay_clean(tmp_path, triangle_csp):
                        "--out", str(tmp_path / "r.json")) == 0
 
 
+@pytest.mark.parametrize("kind, edit", [
+    ("star", {"u": 4, "v": 3}), ("star", {"u": 2}), ("star", {"t": 2}),
+    ("sat", {"t": 7, "selected": [5], "one_edge_removals": [1], "levels": [],
+             "exclusions": []}),
+    ("sat", {"t": 7}), ("sat", {"selected": [5]}), ("sat", {"levels": []}),
+    ("star", None), ("sat", None),
+])
+def test_edited_trace_iterations_are_counterexamples(tmp_path, triangle_csp, kind, edit):
+    """Every field of each recorded iteration, and the iteration count, must
+    replay: an edit that leaves fingerprints and containers alone exits 1 at
+    the first differing t.  None drops the last iteration."""
+    trace = _trace_dicts(triangle_csp)[kind]
+    iterations = trace["iterations"]
+    if edit is None:
+        iterations.pop()
+    else:
+        iterations[0].update(edit)
+    path, out = tmp_path / "trace.json", tmp_path / "r.json"
+    path.write_text(json.dumps(trace))
+    assert run_cli("verify", "closure", "--trace", str(path), "--out", str(out)) == 1
+    record = read_json(out)["counterexample"]
+    assert record["mismatch_t"] == (len(iterations) + 1 if edit is None else 1)
+    assert {"recorded_container"} <= record.keys() if kind == "sat" else \
+        {"recorded_inner", "recorded_outer"} <= record.keys()
+
+
+def test_disjoint_samples_past_n_are_refused_before_any_trial(tmp_path, monkeypatch):
+    from container_bench import generators
+
+    def unreachable(spec, seed):
+        raise AssertionError("a trial ran")
+
+    monkeypatch.setattr(generators, "run_tester", unreachable)
+    graph = tmp_path / "g.json"
+    graph.write_text(json.dumps({"n": 10, "edges": []}))
+    assert run_cli("test", "indepset", "--graph", str(graph), "--rho", "1/2",
+                   "--epsilon", "1/8", "--r", "4", "--s", "7", "--disjoint-samples",
+                   "--seed", "1", "--trials", "5") == 2
+
+
 @pytest.mark.parametrize("kind, field, value", [
     ("star", "iterations", [1]), ("star", "iterations", {}),
     ("star", "independent_set", 5), ("star", "graph", [1]),

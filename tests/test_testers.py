@@ -2,6 +2,7 @@ import itertools
 import math
 import pickle
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -20,6 +21,7 @@ from container_bench import (
     colorability_to_sat,
     distance_to_rho_is,
     distance_to_sat,
+    estimate_acceptance,
     gen_er_graph,
     gen_planted_is_graph,
     gen_planted_sat_csp,
@@ -33,7 +35,7 @@ from container_bench import (
     testers,
 )
 from container_bench.cli import main
-from container_bench.core import WorkCapExceeded, bits_of, check_subset_cap, mask_of
+from container_bench.core import WorkCapExceeded, bits_of, check_subset_cap, mask_of, memo_of
 from container_bench.rationals import ceil_frac, ln_interval, sign_with_ln
 from container_bench.rng import (GENERATOR_NAME, make_rng, sample_without_replacement,
                                  substream_seed)
@@ -50,21 +52,23 @@ from conftest import (
 
 # ------------------------------------------------------------- canonical sat
 
+def sat_spec(csp, s, epsilon=Fraction(1, 4)):
+    return TesterSpec.of("sat", csp, {"epsilon": epsilon, "s": s})
+
+
 def test_sat_tester_one_sided_exact():
     # every satisfiable instance accepts on every seed, literally
     for seed in range(30):
         csp, _ = gen_planted_sat_csp(6, 2, 2, Fraction(1, 2), seed=seed)
         for s in range(2, 7):
             report = canonical_sat_tester(
-                csp, SatTesterParams(Fraction(1, 4), s=s),
-                make_rng(substream_seed(99, seed * 10 + s)))
+                sat_spec(csp, s), make_rng(substream_seed(99, seed * 10 + s)))
             assert report.accepted
 
 
 def test_sat_tester_full_sample_is_exact(triangle_csp, nae_csp):
     for csp in (triangle_csp, nae_csp):
-        report = canonical_sat_tester(csp, SatTesterParams(Fraction(1, 4), s=csp.n),
-                                      make_rng(5))
+        report = canonical_sat_tester(sat_spec(csp, csp.n), make_rng(5))
         assert report.accepted == is_satisfiable(csp).satisfiable
 
 
@@ -72,9 +76,7 @@ def test_sat_tester_rejects_when_covering_false_constraint():
     always_false = Csp.of(5, 2, 2,
                           [((0, 1), list(itertools.product((0, 1), repeat=2)))])
     for seed in range(50):
-        report = canonical_sat_tester(always_false,
-                                      SatTesterParams(Fraction(1, 4), s=4),
-                                      make_rng(seed), seed)
+        report = canonical_sat_tester(sat_spec(always_false, 4), make_rng(seed), seed)
         covered = {0, 1} <= set(report.sample)
         assert report.accepted == (not covered)
 
@@ -169,8 +171,7 @@ def test_sat_params_derived_s_matches_the_stepped_search():
 
 
 def test_sat_tester_report_fields(triangle_csp):
-    report = canonical_sat_tester(triangle_csp,
-                                  SatTesterParams(Fraction(1, 3), s=2),
+    report = canonical_sat_tester(sat_spec(triangle_csp, 2, Fraction(1, 3)),
                                   make_rng(7), seed=7)
     assert report.generator == "pcg64"
     assert report.kind == "canonical-sat"
@@ -285,30 +286,33 @@ def test_shpp_colorability_spec_sets():
     lower = tuple(tuple(0 for _ in range(k)) for _ in range(k))
     upper = tuple(tuple(0 if i == j else 1 for j in range(k)) for i in range(k))
     spec = SHPPSpec(k, lower, upper)
-    assert spec.pi0() == frozenset((i, j) for i in range(k) for j in range(k))
-    assert spec.pi1() == frozenset((i, j) for i in range(k) for j in range(k)
-                                   if i != j)
+    for a, b in itertools.product(range(k), repeat=2):
+        assert spec.pair_allowed(False, a, b)
+        assert spec.pair_allowed(True, a, b) == (a != b)
 
 
 def test_shpp_biclique_spec_sets():
     spec = SHPPSpec(2, ((0, 1), (1, 0)), ((0, 1), (1, 0)))
-    assert spec.pi0() == frozenset({(0, 0), (1, 1)})
-    assert spec.pi1() == frozenset({(0, 1), (1, 0)})
+    for a, b in itertools.product(range(2), repeat=2):
+        assert spec.pair_allowed(False, a, b) == (a == b)
+        assert spec.pair_allowed(True, a, b) == (a != b)
 
 
 @pytest.mark.parametrize("k", [1, 2])
 def test_shpp_pair_allowed_matches_the_spec_sets(k):
     """On every 0/1 spec with k parts: (a, b) is allowed iff it and (b, a)
-    are both in pi1 (adjacent) or pi0 (not adjacent)."""
-    import itertools
-
+    are both compatible part pairs: upper = 1 (adjacent) or lower = 0 (not
+    adjacent)."""
     for lower, upper in itertools.product(itertools.product((0, 1), repeat=k * k),
                                           repeat=2):
         if any(lo > up for lo, up in zip(lower, upper)):
             continue
         spec = SHPPSpec(k, *(tuple(cells[i * k:(i + 1) * k] for i in range(k))
                              for cells in (lower, upper)))
-        for adjacent, allowed in ((False, spec.pi0()), (True, spec.pi1())):
+        pairs = list(itertools.product(range(k), repeat=2))
+        compatible = {False: {(i, j) for i, j in pairs if spec.lower[i][j] == 0},
+                      True: {(i, j) for i, j in pairs if spec.upper[i][j] == 1}}
+        for adjacent, allowed in compatible.items():
             for a, b in itertools.product(range(k), repeat=2):
                 assert spec.pair_allowed(adjacent, a, b) == (
                     (a, b) in allowed and (b, a) in allowed)
@@ -354,17 +358,21 @@ def make_star_params(rho, eps, r, s, disjoint=False):
                             r=r, s=s, disjoint=disjoint)
 
 
+def star_spec(g, rho, eps, r, s, disjoint=False):
+    return TesterSpec.of("indepset", g, {"rho": Fraction(rho), "epsilon": Fraction(eps),
+                                         "r": r, "s": s, "disjoint": disjoint})
+
+
 def test_star_tester_edgeless_accepts():
     g = Graph.from_edges(10, [])
-    report = star_tester(g, make_star_params("1/2", "1/8", 4, 6), make_rng(3))
+    report = star_tester(star_spec(g, "1/2", "1/8", 4, 6), make_rng(3))
     assert report.accepted
 
 
 def test_star_tester_complete_rejects():
     g = complete_graph(10)
     for seed in range(10):
-        report = star_tester(g, make_star_params("1/2", "1/8", 4, 6),
-                             make_rng(seed))
+        report = star_tester(star_spec(g, "1/2", "1/8", 4, 6), make_rng(seed))
         assert not report.accepted
 
 
@@ -374,8 +382,7 @@ def test_star_tester_full_sampling_matches_brute_force():
         g = gen_er_graph(8, Fraction((seed % 4) + 1, 5), seed=seed)
         target = -((-rho.numerator * g.n) // rho.denominator)
         expected = oracle_max_independent_set(g) >= target
-        report = star_tester(g, make_star_params(rho, "1/8", g.n, g.n),
-                             make_rng(seed))
+        report = star_tester(star_spec(g, rho, "1/8", g.n, g.n), make_rng(seed))
         assert report.accepted == expected, seed
 
 
@@ -383,8 +390,7 @@ def test_star_tester_query_accounting():
     for seed in range(12):
         g = gen_er_graph(12, Fraction(1, 2), seed=seed + 5)
         r, s = 4, 7
-        report = star_tester(g, make_star_params("1/2", "1/8", r, s),
-                             make_rng(seed))
+        report = star_tester(star_spec(g, "1/2", "1/8", r, s), make_rng(seed))
         # recompute the distinct queried pairs independently
         rset = set(report.core_sample)
         sset = set(report.sample)
@@ -396,8 +402,7 @@ def test_star_tester_query_accounting():
 
 def test_star_tester_disjoint_mode():
     g = gen_er_graph(12, Fraction(1, 2), seed=3)
-    report = star_tester(g, make_star_params("1/2", "1/8", 4, 6, disjoint=True),
-                         make_rng(11))
+    report = star_tester(star_spec(g, "1/2", "1/8", 4, 6, disjoint=True), make_rng(11))
     assert not set(report.core_sample) & set(report.sample)
 
 
@@ -449,10 +454,9 @@ def test_star_tester_loop_matches_the_recursive_search(block):
         r = rnd.randint(1, n // 2 if disjoint else n)
         s = rnd.randint(r, n - r if disjoint else n)
         g = gen_er_graph(n, Fraction(seed % 5, 4), seed=seed)
-        params = make_star_params(rnd.choice(rhos), "1/8", r, s, disjoint)
-        report = star_tester(g, params, make_rng(seed), seed)
-        witness = recursive_core_search(g, report, ceil_frac(params.rho * r),
-                                        ceil_frac(params.rho * s))
+        rho = rnd.choice(rhos)
+        report = star_tester(star_spec(g, rho, "1/8", r, s, disjoint), make_rng(seed), seed)
+        witness = recursive_core_search(g, report, ceil_frac(rho * r), ceil_frac(rho * s))
         assert report.witness == witness, seed
         assert report.accepted == (witness is not None)
 
@@ -461,16 +465,16 @@ def test_star_tester_is_not_bounded_by_the_recursion_limit():
     # A core of 1,099 vertices; the recursive search raised RecursionError
     # (exit 3 from test indepset).
     g = Graph.from_edges(1200, [])
-    report = star_tester(g, make_star_params("1099/1100", "1/100", 1100, 1100), make_rng(1), 1)
+    report = star_tester(star_spec(g, "1099/1100", "1/100", 1100, 1100), make_rng(1), 1)
     assert report.accepted
     assert report.witness["core"] == tuple(sorted(report.core_sample))[:1099]
 
 
 def test_star_tester_pure_function_of_seed():
     g = gen_er_graph(12, Fraction(1, 2), seed=9)
-    p = make_star_params("1/2", "1/8", 4, 6)
-    a = star_tester(g, p, make_rng(42), seed=42)
-    b = star_tester(g, p, make_rng(42), seed=42)
+    spec = star_spec(g, "1/2", "1/8", 4, 6)
+    a = star_tester(spec, make_rng(42), seed=42)
+    b = star_tester(spec, make_rng(42), seed=42)
     assert a == b
 
 
@@ -555,11 +559,15 @@ def test_star_params_derived_sizes_match_an_interval_reference():
 
 # ------------------------------------------------------------- canonical IS
 
+def is_spec(g, rho, s):
+    return TesterSpec.of("canonical-is", g, {"rho": rho, "s": s})
+
+
 def test_canonical_is_edgeless_and_complete():
     edgeless = Graph.from_edges(8, [])
-    assert canonical_is_tester(edgeless, Fraction(1, 2), 4, make_rng(0)).accepted
+    assert canonical_is_tester(is_spec(edgeless, Fraction(1, 2), 4), make_rng(0)).accepted
     comp = complete_graph(8)
-    report = canonical_is_tester(comp, Fraction(1, 2), 4, make_rng(0))
+    report = canonical_is_tester(is_spec(comp, Fraction(1, 2), 4), make_rng(0))
     assert not report.accepted
 
 
@@ -569,14 +577,14 @@ def test_canonical_is_full_sample_exact():
         g = gen_er_graph(7, Fraction(2, 5), seed=seed)
         target = -((-rho.numerator * g.n) // rho.denominator)
         expected = oracle_max_independent_set(g) >= target
-        report = canonical_is_tester(g, rho, g.n, make_rng(seed))
+        report = canonical_is_tester(is_spec(g, rho, g.n), make_rng(seed))
         assert report.accepted == expected
 
 
 def test_canonical_is_query_count_exact():
     g = gen_er_graph(10, Fraction(1, 2), seed=2)
     for s in (2, 5, 9):
-        report = canonical_is_tester(g, Fraction(1, 2), s, make_rng(s))
+        report = canonical_is_tester(is_spec(g, Fraction(1, 2), s), make_rng(s))
         assert report.query_count == math.comb(s, 2)
 
 
@@ -681,9 +689,9 @@ def per_pair_canonical_is_tester(graph, rho, sample_size, rng, seed=0):
         sample=sample, query_count=len(counted.asked))
 
 
-def _report_or_refusal(tester, *args):
+def _report_or_refusal(trial):
     try:
-        return tester(*args)
+        return trial()
     except WorkCapExceeded as exc:
         return str(exc)
 
@@ -707,12 +715,256 @@ def test_graph_testers_match_their_per_pair_versions(block):
             r = rnd.randint(1, min(n // 2 if disjoint else n, 12))
             s = rnd.randint(r, n - r if disjoint else n)
         params = make_star_params(rho, "1/8", r, s, disjoint)
-        assert _report_or_refusal(star_tester, g, params, make_rng(seed), seed) == \
-            _report_or_refusal(per_pair_star_tester, g, params, make_rng(seed), seed), seed
+        assert _report_or_refusal(
+            lambda: star_tester(star_spec(g, rho, "1/8", r, s, disjoint), make_rng(seed), seed)) == \
+            _report_or_refusal(
+                lambda: per_pair_star_tester(g, params, make_rng(seed), seed)), seed
         size = n if seed % 5 == 1 else rnd.randint(1, n)
-        assert _report_or_refusal(canonical_is_tester, g, rho, size, make_rng(seed), seed) == \
-            _report_or_refusal(per_pair_canonical_is_tester, g, rho, size,
-                               make_rng(seed), seed), seed
+        assert _report_or_refusal(
+            lambda: canonical_is_tester(is_spec(g, rho, size), make_rng(seed), seed)) == \
+            _report_or_refusal(lambda: per_pair_canonical_is_tester(
+                g, rho, size, make_rng(seed), seed)), seed
+
+
+# -------------------------------------------------------------- bound testers
+#
+# The trials as they were before TesterSpec.of bound every per-run constant:
+# each one resolved its sizes, made its refusals and built its report's params
+# itself.  Kept as the reference for the bound trials.
+
+def per_trial_canonical_sat_tester(csp, params, rng, seed=0):
+    s = params.resolve_s(csp.n, csp.k, csp.q)
+    sample = sample_without_replacement(rng, csp.n, s)
+    verdicts = memo_of(csp, lambda _: {})
+    key = tuple(sorted(sample))
+    satisfiable = verdicts.get(key)
+    if satisfiable is None:
+        satisfiable = verdicts[key] = is_satisfiable(csp, sample).satisfiable
+    return Report(
+        kind="canonical-sat", verdict="accept" if satisfiable else "reject",
+        seed=seed, generator=GENERATOR_NAME,
+        params={"epsilon": str(params.epsilon), "s": s, "c": str(params.c)},
+        sample=sample, query_count=None)
+
+
+def per_trial_star_tester(graph, params, rng, seed=0):
+    n = graph.n
+    r, s = params.resolve(n)
+    if params.disjoint and r + s > n:
+        raise ValueError(f"disjoint samples need r + s <= n, got {r}+{s} > {n}")
+    core = sample_without_replacement(rng, n, r)
+    if params.disjoint:
+        outside = sorted(set(range(n)).difference(core))
+        picks = sample_without_replacement(rng, len(outside), s)
+        body = tuple(outside[i] for i in picks)
+    else:
+        body = sample_without_replacement(rng, n, s)
+
+    m_core = ceil_frac(params.rho * r)
+    m_body = ceil_frac(params.rho * s)
+    check_subset_cap(r, m_core)
+
+    core_list = sorted(core)
+    body_mask = mask_of(body)
+    seen = mask_of(core) | body_mask
+    adj_known = {u: graph.adj[u] & seen for u in core_list}
+    query_count = r * (seen.bit_count() - 1) - r * (r - 1) // 2
+
+    def compatible_count(core_mask):
+        blocked = 0
+        for u in bits_of(core_mask):
+            blocked |= adj_known[u]
+        return (body_mask & ~blocked & ~core_mask).bit_count() + (
+            body_mask & core_mask).bit_count()
+
+    witness = None
+    stack = [(0, 0, 0)]
+    while stack:
+        start, core_mask, size = stack.pop()
+        if size == m_core:
+            compatible = compatible_count(core_mask)
+            if compatible >= m_body:
+                witness = {"core": bits_of(core_mask), "compatible": compatible}
+                break
+            continue
+        last = len(core_list) - (m_core - size)
+        for idx in range(last, start - 1, -1):
+            v = core_list[idx]
+            if not adj_known[v] & core_mask:
+                stack.append((idx + 1, core_mask | (1 << v), size + 1))
+
+    return Report(
+        kind="star", verdict="reject" if witness is None else "accept",
+        seed=seed, generator=GENERATOR_NAME,
+        params={"rho": str(params.rho), "epsilon": str(params.epsilon),
+                "r": r, "s": s, "c1": str(params.c1), "c2": str(params.c2),
+                "disjoint": params.disjoint},
+        sample=body, core_sample=core, query_count=query_count, witness=witness)
+
+
+def per_trial_canonical_is_tester(graph, rho, sample_size, rng, seed=0):
+    n = graph.n
+    if not 1 <= sample_size <= n:
+        raise ValueError(f"sample size {sample_size} must lie in [1, {n}]")
+    target = ceil_frac(Fraction(rho) * sample_size)
+    check_subset_cap(sample_size, target)
+    sample = sample_without_replacement(rng, n, sample_size)
+    sample_mask = mask_of(sample)
+    adj_known = {u: graph.adj[u] & sample_mask for u in sample}
+    accepted = has_independent_set_of_size(adj_known, sample_mask, target)
+    return Report(
+        kind="canonical-is", verdict="accept" if accepted else "reject",
+        seed=seed, generator=GENERATOR_NAME,
+        params={"rho": str(Fraction(rho)), "s": sample_size},
+        sample=sample, query_count=sample_size * (sample_size - 1) // 2)
+
+
+def per_trial_reports(kind, instance, options, seeds):
+    """Each seed's report, as the per-trial testers made it, or the message
+    of the refusal its trial raised."""
+    def trial(seed):
+        rng = make_rng(seed)
+        if kind == "indepset":
+            return per_trial_star_tester(instance, StarTesterParams(**options), rng, seed)
+        if kind == "canonical-is":
+            return per_trial_canonical_is_tester(instance, options["rho"], options["s"],
+                                                 rng, seed)
+        report = per_trial_canonical_sat_tester(csp, params, rng, seed)
+        if kind == "sat":
+            return report
+        return replace(report, kind=kind, params={**report.params, "k": csp.k})
+
+    if kind in ("sat", "color", "shpp"):
+        params = SatTesterParams(**{f: options[f] for f in ("epsilon", "s", "c") if f in options})
+        # A copy, so the two sides keep separate verdict memos.
+        csp = {"sat": lambda: pickle.loads(pickle.dumps(instance)),
+               "color": lambda: colorability_to_sat(instance, options["k"]),
+               "shpp": lambda: shpp_to_sat(instance, options["spec"])}[kind]()
+    return [_report_or_message(lambda: trial(seed)) for seed in seeds]
+
+
+def _report_or_message(make):
+    try:
+        return make()
+    except (ValueError, WorkCapExceeded) as exc:
+        return str(exc)
+
+
+def _bound_cases():
+    """300 seeded (kind, instance, options), 60 of each kind; some refuse."""
+    rnd = random.Random(2201)
+    specs = [SHPPSpec(2, ((0, 0), (0, 0)), ((0, 1), (1, 0))),
+             SHPPSpec(2, ((0, 1), (1, 0)), ((0, 1), (1, 0))),
+             SHPPSpec(3, ((0,) * 3,) * 3, ((1,) * 3,) * 3)]
+    rhos = [Fraction(1, 3), Fraction(1, 2), Fraction(2, 3), Fraction(1)]
+    cases = []
+    for index in range(300):
+        kind = ("sat", "color", "shpp", "indepset", "canonical-is")[index % 5]
+        big = index % 20 in (3, 4)  # a 30-vertex graph, past the subset cap
+        n = 30 if big else rnd.randint(3, 10)
+        density = Fraction(rnd.randint(0, 4), 4)
+        sat = ({"s": rnd.randint(1, n), "epsilon": Fraction(1, rnd.randint(3, 10)),
+                "c": Fraction(rnd.randint(1, 9), 3)} if rnd.random() < 0.7
+               else {"epsilon": Fraction(1, 4),
+                     "c": rnd.choice([Fraction(1, 1000), Fraction(1, 100)])})
+        rho = Fraction(1, 2) if big else rnd.choice(rhos)
+        if kind == "sat":
+            cases.append((kind, gen_random_csp(n, rnd.randint(1, 3), 2, density,
+                                               Fraction(1, 3), seed=index), sat))
+        elif kind == "color":
+            cases.append((kind, gen_random_hypergraph(n, rnd.randint(2, 3), density,
+                                                      seed=index), {**sat, "k": rnd.randint(1, 3)}))
+        elif kind == "shpp":
+            cases.append((kind, gen_er_graph(n, density, seed=index),
+                          {**sat, "spec": rnd.choice(specs)}))
+        elif kind == "indepset":
+            disjoint = rnd.random() < 0.5
+            r = 28 if big else rnd.randint(1, n)
+            s = rnd.randint(r, n)  # disjoint r + s > n refuses
+            options = {"rho": rho, "epsilon": Fraction(1, rnd.randint(5, 9)), "r": r, "s": s,
+                       "disjoint": disjoint, "c1": Fraction(rnd.randint(1, 9), 100),
+                       "c2": Fraction(rnd.randint(1, 9), 100)}
+            if rnd.random() < 0.2 and not big:  # derived sizes
+                options.update(r=None, s=None, epsilon=Fraction(1, 4))
+            cases.append((kind, gen_er_graph(n, density, seed=index), options))
+        else:
+            cases.append((kind, gen_er_graph(n, density, seed=index),
+                          {"rho": rho, "s": 28 if big else rnd.randint(0, n + 1)}))
+    return cases
+
+
+def test_bound_testers_match_the_per_trial_testers():
+    """300 seeded runs of five trials of sat, color, shpp, indepset (disjoint
+    off and on, given and derived sizes) and canonical-is: each TesterReport
+    equals the per-trial tester's, and a run the per-trial tester refused in
+    its trials is refused by TesterSpec.of with the same message."""
+    reports = refusals = 0
+    kinds = set()
+    for index, (kind, instance, options) in enumerate(_bound_cases()):
+        seeds = [substream_seed(index, trial) for trial in range(5)]
+        want = per_trial_reports(kind, instance, options, seeds)
+        try:
+            spec = TesterSpec.of(kind, instance, options)
+        except (ValueError, WorkCapExceeded) as exc:
+            got = [str(exc)] * len(seeds)
+            refusals += 1
+        else:
+            got = [run_tester(spec, seed) for seed in seeds]
+            reports += len(seeds)
+            kinds.add((kind, options.get("disjoint")))
+        assert got == want, (index, kind, options)
+    assert reports >= 1000 and refusals >= 15
+    assert {("indepset", False), ("indepset", True)} <= kinds and len(kinds) == 6
+
+
+@pytest.mark.parametrize("kind, instance, options, message", [
+    ("indepset", complete_graph(10),
+     {"rho": Fraction(1, 2), "epsilon": Fraction(1, 8), "r": 4, "s": 7, "disjoint": True},
+     "disjoint samples need r + s <= n, got 4+7 > 10"),
+    ("canonical-is", complete_graph(10), {"rho": Fraction(1, 2), "s": 0},
+     "sample size 0 must lie in [1, 10]"),
+    ("canonical-is", complete_graph(10), {"rho": Fraction(1, 2), "s": 11},
+     "sample size 11 must lie in [1, 10]"),
+    ("indepset", Graph.from_edges(40, []),
+     {"rho": Fraction(1, 2), "epsilon": Fraction(1, 8), "r": 30, "s": 30},
+     "C(n, m) = C(30,15) exceeds the subset cap 10000000"),
+    ("canonical-is", Graph.from_edges(40, []), {"rho": Fraction(1, 2), "s": 30},
+     "C(n, m) = C(30,15) exceeds the subset cap 10000000"),
+    ("color", Hypergraph.from_edges(2, 3, [(0, 1)]),
+     {"epsilon": Fraction(1, 4), "s": 2, "k": 0}, "need at least one colour"),
+])
+def test_tester_refusals_happen_at_bind(kind, instance, options, message):
+    with pytest.raises((ValueError, WorkCapExceeded)) as raised:
+        TesterSpec.of(kind, instance, options)
+    assert str(raised.value) == message
+
+
+@pytest.mark.parametrize("trials", [1, 2000])
+def test_per_run_constants_are_resolved_once_per_estimate(monkeypatch, trials):
+    counts = {"resolve": 0, "resolve_s": 0, "check_subset_cap": 0}
+
+    def counting(name, fn):
+        def counted(*args):
+            counts[name] += 1
+            return fn(*args)
+        return counted
+
+    for owner, name in ((StarTesterParams, "resolve"), (SatTesterParams, "resolve_s"),
+                        (testers, "check_subset_cap")):
+        monkeypatch.setattr(owner, name, counting(name, getattr(owner, name)))
+    g = gen_er_graph(12, Fraction(1, 2), seed=1)
+    runs = [("sat", gen_planted_sat_csp(8, 2, 2, Fraction(1, 2), seed=1)[0],
+             {"epsilon": Fraction(1, 4), "s": 5}, "resolve_s"),
+            ("indepset", g, {"rho": Fraction(1, 2), "epsilon": Fraction(1, 8),
+                             "r": 4, "s": 6}, "resolve"),
+            ("canonical-is", g, {"rho": Fraction(1, 2), "s": 6}, None)]
+    for kind, instance, options, resolver in runs:
+        before = dict(counts)
+        estimate_acceptance(TesterSpec.of(kind, instance, options), trials, 7)
+        resolved = {name: counts[name] - before[name] for name in counts}
+        assert resolved == {"resolve": resolver == "resolve",
+                            "resolve_s": resolver == "resolve_s",
+                            "check_subset_cap": kind != "sat"}, (kind, trials)
 
 
 def test_has_independent_set_bb_matches_oracle():
