@@ -8,7 +8,6 @@ from .core import (
     Graph,
     Hypergraph,
     WorkCapExceeded,
-    degree,
     enumerate_independent_sets,
     is_independent,
 )

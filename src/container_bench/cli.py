@@ -648,6 +648,8 @@ def _tester_spec_from_args(args) -> TesterSpec:
                for flag, _ in (epsilon, _S, *before, *after)}
     if kind == "canonical-is" and args.s is None:
         raise ValueError("canonical-is requires --s")
+    if kind == "canonical-is" and args.epsilon is not None:
+        raise ValueError("canonical-is takes no epsilon: it decides from --rho and --s")
     if kind == "indepset":
         options["disjoint"] = options.pop("disjoint_samples")
     if kind == "shpp":

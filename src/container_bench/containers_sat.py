@@ -16,12 +16,15 @@ vertex index, so traces are bit-for-bit deterministic.
 
 Memo: everything the generator computes on a hypergraph is kept in one
 `_GeneratorMemo` stored on that Hypergraph instance (attribute `_memo`, built
-on first use by `core.memo_of`).  It holds the incidence lists, exact
-deg_leq_n results keyed on (container mask, n, v), each container's degree
-table keyed on (container mask, n), and finished traces keyed on
-(independent-set mask, n).  It holds no reference back to the
-hypergraph, takes no part in ==, hash, repr or pickling, and is freed with
-the hypergraph; no state outlives the objects it describes.
+on first use by `core.memo_of`).  It holds the incidence lists; each
+container's ranked degree table (values only) keyed on (container mask, n);
+the selection step's first level, with v's witness, keyed on (container
+mask, n, v); finished traces keyed on (independent-set mask, n); vars(C) per
+container mask; gcl-sat's t_max, ln argument and (t, vars) decisions per
+epsilon; and container-degree records keyed on (k, n, t, max degree).  It
+holds no reference back to the hypergraph, takes no part in ==, hash, repr
+or pickling, and is freed with the hypergraph; no state outlives the
+objects it describes.
 `build_hypergraph` returns the same Hypergraph for the same Csp, so a sweep
 over one instance shares one memo.  Entries are pure functions of their keys,
 so threads racing on a memo can at worst compute an entry twice.
@@ -137,45 +140,56 @@ def _cover_search(pmasks: tuple[int, ...], order: tuple[int, ...], budget: int,
     return best, tuple(order[i] for i in bits_of(best_set))
 
 
-def _deg_leq_n_exact(q: int, incident: tuple[int, ...], c_mask: int,
-                     n_bound: int, v: int) -> tuple[int, int]:
-    """(value, witness_mask) for deg_leq_n; exact branch and bound over the
-    edges `incident` to v."""
-    c_size = c_mask.bit_count()
-    budget = min(n_bound, c_size) - 1
+def _partners(incident: tuple[int, ...], c_mask: int, n_bound: int,
+              v: int) -> tuple[tuple[int, ...], tuple[int, ...], int]:
+    """(partner masks of v's edges inside C, the partners, the budget)."""
     vbit = 1 << v
     pmasks = tuple(e & ~vbit for e in incident if e & ~c_mask == 0)
     partners = bits_of(reduce(or_, pmasks, 0))
     check_partner_cap(v, len(partners))
+    return pmasks, partners, min(n_bound, c_mask.bit_count()) - 1
 
+
+def _deg_value(q: int, incident: tuple[int, ...], c_mask: int, n_bound: int,
+               v: int) -> int:
+    """deg_leq_n's value; exact branch and bound over the edges `incident` to v."""
+    pmasks, partners, budget = _partners(incident, c_mask, n_bound, v)
     if len(partners) <= budget:
         # Every partner fits: all masks are covered, and only by all partners.
-        value, support = len(pmasks), partners
-    elif q == 2:
+        return len(pmasks)
+    if q == 2:
         # Each partner covers exactly one edge: take the smallest ones.
-        value = min(len(pmasks), budget)
+        return min(len(pmasks), budget)
+    # Partners of high link degree tried first reach the value soonest.
+    by_link = sorted(partners, key=lambda u: -sum(pm >> u & 1 for pm in pmasks))
+    return _cover_search(pmasks, tuple(by_link), budget, q, -1)[0]
+
+
+def _deg_witness(q: int, incident: tuple[int, ...], c_mask: int, n_bound: int,
+                 v: int, value: int) -> int:
+    """deg_leq_n's witness mask, given its value."""
+    pmasks, partners, budget = _partners(incident, c_mask, n_bound, v)
+    if len(partners) <= budget:
+        support = partners
+    elif q == 2:
         support = partners[:value]
     else:
-        # The value, trying partners of high link degree first; then the
-        # lexicographically smallest optimal support, from just below it.
-        by_link = sorted(partners, key=lambda u: -sum(pm >> u & 1 for pm in pmasks))
-        value = _cover_search(pmasks, tuple(by_link), budget, q, -1)[0]
-        value, support = _cover_search(pmasks, partners, budget, q, value - 1, value)
-
-    witness = vbit | mask_of(support)
-    want = min(n_bound, c_size)
+        # The lexicographically smallest optimal support, from just below it.
+        support = _cover_search(pmasks, partners, budget, q, value - 1, value)[1]
+    witness = (1 << v) | mask_of(support)
     pad_from = c_mask & ~witness
-    while witness.bit_count() < want:
+    while witness.bit_count() <= budget:  # pad to min(n, |C|) = budget + 1
         low = pad_from & -pad_from
         witness |= low
         pad_from ^= low
-    return value, witness
+    return witness
 
 
 class _GeneratorMemo:
     """The generator's memo for one hypergraph; see the module docstring."""
 
-    __slots__ = ("q", "incidence", "deg", "tables", "traces")
+    __slots__ = ("q", "incidence", "tables", "levels", "traces", "vars", "gcl",
+                 "records")
 
     def __init__(self, h: Hypergraph):
         by_vertex: list[list[int]] = [[] for _ in range(h.n)]
@@ -184,26 +198,41 @@ class _GeneratorMemo:
                 by_vertex[v].append(e)
         self.q = h.q
         self.incidence = tuple(tuple(es) for es in by_vertex)
-        self.deg: dict[tuple[int, int, int], tuple[int, int]] = {}
-        self.tables: dict[tuple[int, int], dict[int, int]] = {}
+        self.tables: dict[tuple[int, int], tuple[tuple[int, int, int], ...]] = {}
+        self.levels: dict[tuple[int, int, int], LevelRecord] = {}
         self.traces: dict[tuple[int, int], tuple[SatIteration, ...]] = {}
+        self.vars: dict[int, int] = {}
+        self.gcl: dict[Fraction, tuple[int, Fraction, dict]] = {}
+        self.records: dict[tuple[int, int, int, int], tuple] = {}
 
-    def deg_leq_n(self, c_mask: int, n_bound: int, v: int) -> tuple[int, int]:
-        key = (c_mask, n_bound, v)
-        hit = self.deg.get(key)
-        if hit is None:
-            hit = self.deg[key] = _deg_leq_n_exact(
-                self.q, self.incidence[v], c_mask, n_bound, v)
-        return hit
-
-    def degree_table(self, c_mask: int, n_bound: int) -> dict[int, int]:
-        """deg_leq_n value of every container member, in vertex order."""
+    def table(self, c_mask: int, n_bound: int) -> tuple[tuple[int, int, int], ...]:
+        """The container's members as (vertex, deg_leq_n value, mask of the
+        members of strictly larger value), in (-value, vertex) order."""
         key = (c_mask, n_bound)
         table = self.tables.get(key)
         if table is None:
-            table = self.tables[key] = {
-                w: self.deg_leq_n(c_mask, n_bound, w)[0] for w in bits_of(c_mask)}
+            rows, higher, seen = [], 0, 0
+            for neg, w in sorted(
+                    (-_deg_value(self.q, self.incidence[w], c_mask, n_bound, w), w)
+                    for w in bits_of(c_mask)):
+                if rows and -neg < rows[-1][1]:
+                    higher = seen
+                rows.append((w, -neg, higher))
+                seen |= 1 << w
+            table = self.tables[key] = tuple(rows)
         return table
+
+    def first_level(self, c_mask: int, n_bound: int, v: int, value: int) -> LevelRecord:
+        """D_{t,q-1} for selected v: v's witness and the edges through v
+        inside it, each less v."""
+        key = (c_mask, n_bound, v)
+        level = self.levels.get(key)
+        if level is None:
+            witness = _deg_witness(self.q, self.incidence[v], c_mask, n_bound, v, value)
+            vbit = 1 << v
+            level = self.levels[key] = LevelRecord(self.q - 1, witness & ~vbit, tuple(
+                e & ~vbit for e in self.incidence[v] if e & ~witness == 0))
+        return level
 
 
 def deg_leq_n(h: Hypergraph, container, n_bound: int, v: int) -> DegLeqNResult:
@@ -213,8 +242,10 @@ def deg_leq_n(h: Hypergraph, container, n_bound: int, v: int) -> DegLeqNResult:
     c_mask = as_mask(container, h.n)
     if not (c_mask >> v) & 1:
         raise ValueError(f"vertex {v} is not in the container")
-    value, witness = memo_of(h, _GeneratorMemo).deg_leq_n(c_mask, n_bound, v)
-    return DegLeqNResult(value, bits_of(witness))
+    incident = memo_of(h, _GeneratorMemo).incidence[v]
+    value = _deg_value(h.q, incident, c_mask, n_bound, v)
+    return DegLeqNResult(value, bits_of(
+        _deg_witness(h.q, incident, c_mask, n_bound, v, value)))
 
 
 @dataclass(frozen=True)
@@ -285,7 +316,11 @@ def run_generator(h: Hypergraph, n_bound: int, independent_set) -> ContainerTrac
         raise ValueError("input vertex set is not independent")
     if not 1 <= n_bound < h.n:
         raise ValueError(f"subgraph bound {n_bound} must satisfy 1 <= n < {h.n}")
+    return _generate(h, n_bound, i_mask)
 
+
+def _generate(h: Hypergraph, n_bound: int, i_mask: int) -> ContainerTrace:
+    """run_generator on a validated independent set."""
     memo = memo_of(h, _GeneratorMemo)
     key = (i_mask, n_bound)
     done = memo.traces.get(key)
@@ -298,23 +333,16 @@ def run_generator(h: Hypergraph, n_bound: int, independent_set) -> ContainerTrac
     t = 0
     while i_mask & ~f_mask:
         t += 1
-        values = memo.degree_table(c_mask, n_bound)
-        # max keeps the first maximum, so ties go to the smallest index.
-        v_q = max(bits_of(i_mask & ~f_mask), key=values.__getitem__)
-        x_q = mask_of(w for w in values if values[w] > values[v_q])
-        witness_mask = memo.deg_leq_n(c_mask, n_bound, v_q)[1]
-
-        vbit = 1 << v_q
-        level_v = witness_mask & ~vbit
-        level_e = [
-            e & ~vbit
-            for e in memo.incidence[v_q]
-            if e & ~c_mask == 0 and e & ~witness_mask == 0
-        ]
+        pick = i_mask & ~f_mask
+        # The first ranked pick has the largest value, ties to the smallest index.
+        v_q, value, x_q = next(row for row in memo.table(c_mask, n_bound)
+                               if pick >> row[0] & 1)
+        first = memo.first_level(c_mask, n_bound, v_q, value)
+        level_v, level_e = first.vertices, first.edges
         selected = [v_q]
-        selected_mask = vbit
+        selected_mask = 1 << v_q
         exclusions = [(q, x_q)]
-        levels = [LevelRecord(q - 1, level_v, tuple(level_e))]
+        levels = [first]
         degenerate = False
         truncated = False
 
@@ -379,10 +407,11 @@ class ClosureOutcome:
 
 
 def check_closure(h: Hypergraph, n_bound: int, independent_set) -> ClosureOutcome:
-    """Rerun the generator on every fingerprint prefix and compare containers."""
+    """Rerun the generator on every fingerprint prefix and compare containers;
+    a prefix F_t of the validated set I is independent, so is not checked."""
     trace = run_generator(h, n_bound, independent_set)
     for t in range(1, trace.iteration_count + 1):
-        sub = run_generator(h, n_bound, trace.fingerprint_at(t))
+        sub = _generate(h, n_bound, trace.fingerprint_at(t))
         if sub.container_at(t) != trace.container_at(t):
             return ClosureOutcome(False, t, trace.iteration_count)
     return ClosureOutcome(True, None, trace.iteration_count)
@@ -436,20 +465,25 @@ def check_container_degree(trace: ContainerTrace, k: int, n: int) -> ContainerDe
         raise ValueError(f"trace hypergraph has {h.n} vertices, expected k*n = {k * n}")
     q = h.q
     coeff = math.comb(n - 1, q - 1)
-    records = []
     memo = memo_of(h, _GeneratorMemo)
+    records = []
     for t in range(1, trace.iteration_count + 1):
-        table = memo.degree_table(trace.container_at(t), n)
-        max_deg = max(table.values(), default=0)
-        bound = Fraction(2 * k * q, t) * coeff
-        tighter = Fraction(2 * k * (q - 1), t) * coeff
-        records.append(ContainerDegreeRecord(t, max_deg, bound, tighter,
-                                             max_deg <= bound, max_deg <= tighter))
+        table = memo.table(trace.container_at(t), n)
+        key = (k, n, t, table[0][1] if table else 0)
+        record = memo.records.get(key)
+        if record is None:
+            max_deg = key[3]
+            bound = Fraction(2 * k * q, t) * coeff
+            tighter = Fraction(2 * k * (q - 1), t) * coeff
+            record = memo.records[key] = (ContainerDegreeRecord(
+                t, max_deg, bound, tighter, max_deg <= bound, max_deg <= tighter),
+                bound - max_deg)
+        records.append(record)
     return ContainerDegreeOutcome(
-        all(r.ok for r in records),
-        all(r.tighter_ok for r in records),
-        min((r.bound - r.max_degree for r in records), default=None),
-        tuple(records),
+        all(r.ok for r, _ in records),
+        all(r.tighter_ok for r, _ in records),
+        min((slack for _, slack in records), default=None),
+        tuple(r for r, _ in records),
     )
 
 
@@ -490,31 +524,31 @@ def verify_gcl_sat(csp: Csp, epsilon: Fraction, independent_set,
             f"instance distance {distance.distance} is below epsilon {epsilon}"
         )
     h = build_hypergraph(csp)
-    i_mask = as_mask(independent_set, h.n)
-    if not is_independent(h, i_mask):
-        raise ValueError("input vertex set is not independent")
-    if vars_of(h, i_mask) != i_mask.bit_count():
+    trace = run_generator(h, csp.n, independent_set)
+    if vars_of(h, trace.independent_set) != trace.independent_set.bit_count():
         raise ValueError("input vertex set is not variable-distinct")
 
     k, q, n = csp.k, csp.q, csp.n
-    trace = run_generator(h, n, i_mask)
-    t_max = (8 * k * q / epsilon).__floor__()
-    ln_arg = k * q / epsilon
-    scale = 4 * k * q * q
-
+    memo = memo_of(h, _GeneratorMemo)
+    bound = memo.gcl.get(epsilon)
+    if bound is None:
+        bound = memo.gcl[epsilon] = ((8 * k * q / epsilon).__floor__(), k * q / epsilon, {})
+    t_max, ln_arg, decided = bound
     checks = []
-    witness: Optional[int] = None
     for t in range(1, min(trace.iteration_count + 1, t_max) + 1):
-        vt = vars_of(h, trace.container_at(t))
-        if vt >= n:
-            ok = False
-        else:
+        c_mask = trace.container_at(t)
+        vt = memo.vars.get(c_mask)
+        if vt is None:
+            vt = memo.vars[c_mask] = vars_of(h, c_mask)
+        check = decided.get((t, vt))
+        if check is None:
             # vars <= (1 - eps t / (4kq^2 L)) n  <=>  L >= n eps t / (4kq^2 (n - vars))
-            lhs = Fraction(n) * epsilon * t / (scale * (n - vt))
-            ok = le_with_ln(lhs, Fraction(1), ln_arg)
-        checks.append(GclSatCheck(t, vt, ok))
-        if ok:
-            witness = t
+            ok = vt < n and le_with_ln(Fraction(n) * epsilon * t / (4 * k * q * q * (n - vt)),
+                                       Fraction(1), ln_arg)
+            check = decided[t, vt] = GclSatCheck(t, vt, ok)
+        checks.append(check)
+        if check.ok:
             break
+    witness = checks[-1].t if checks and checks[-1].ok else None
     return GclSatOutcome(witness is not None, witness, epsilon, t_max,
                          trace.iteration_count, tuple(checks))

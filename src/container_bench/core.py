@@ -258,9 +258,6 @@ class Hypergraph:
         lab = tuple((int(a), int(b)) for a, b in labels) if labels is not None else None
         return cls(q, n, tuple(sorted(set(masks))), lab)
 
-    def edges_inside(self, mask: int) -> int:
-        return sum(1 for e in self.edges if e & ~mask == 0)
-
 
 Host = Union[Graph, Hypergraph]
 
@@ -278,17 +275,6 @@ def is_independent(host: Host, vertices: Union[int, Iterable[int]]) -> bool:
                 return False
         return True
     return all(e & ~mask for e in host.edges)
-
-
-def degree(host: Host, vertices: Union[int, Iterable[int]], v: int) -> int:
-    """Number of edges of host fully inside the set that contain v."""
-    mask = as_mask(vertices, host.n)
-    if not (mask >> v) & 1:
-        raise ValueError(f"vertex {v} is not in the given set")
-    if isinstance(host, Graph):
-        return (host.adj[v] & mask).bit_count()
-    bit = 1 << v
-    return sum(1 for e in host.edges if (e & bit) and e & ~mask == 0)
 
 
 def enumerate_independent_sets(

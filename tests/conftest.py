@@ -70,6 +70,19 @@ def edge_count(g: Graph) -> int:
     return len(edge_lists(g))
 
 
+def degree(host, vertices, v: int) -> int:
+    """Number of edges of host fully inside the vertex set that contain v."""
+    inside = set(vertices)
+    if v not in inside:
+        raise ValueError(f"vertex {v} is not in the given set")
+    return sum(1 for e in edge_lists(host) if v in e and inside.issuperset(e))
+
+
+def hyperedges_inside(h: Hypergraph, mask: int) -> int:
+    """Number of edges of h with every vertex in the vertex mask."""
+    return sum(1 for e in edge_lists(h) if all(mask >> v & 1 for v in e))
+
+
 def induced_subgraph(host, vertices):
     """(sub, kept): the (hyper)graph restricted to a vertex set, where
     kept[i] is the original index of vertex i of the restriction."""

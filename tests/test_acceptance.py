@@ -57,6 +57,7 @@ from container_bench.rng import make_rng, substream_seed
 
 from conftest import (
     falsified_count,
+    hyperedges_inside,
     oracle_deg_leq_n,
     oracle_k_colorable,
     oracle_max_independent_set,
@@ -212,7 +213,7 @@ def test_criterion_02_edge_constraint_equivalence():
         h = build_hypergraph(csp)
         for assignment in itertools.product(range(csp.k), repeat=csp.n):
             vs = mask_of(x * csp.k + a for x, a in enumerate(assignment))
-            assert h.edges_inside(vs) == falsified_count(csp, assignment), idx
+            assert hyperedges_inside(h, vs) == falsified_count(csp, assignment), idx
 
 
 @criterion(3, "trace invariants and closure, exhaustive on the small corpus")

@@ -990,6 +990,23 @@ def test_disjoint_samples_past_n_are_refused_before_any_trial(tmp_path, monkeypa
                    "--seed", "1", "--trials", "5") == 2
 
 
+@pytest.mark.parametrize("verb", ["test", "estimate"])
+def test_canonical_is_refuses_an_epsilon(tmp_path, capsys, verb):
+    """canonical-is decides from rho and s alone, so a given --epsilon exits 2
+    and names itself; without it the verb runs and echoes epsilon as null."""
+    graph = tmp_path / "g.json"
+    graph.write_text(json.dumps({"n": 10, "edges": [[0, 1], [2, 3]]}))
+    argv = [verb, "canonical-is", "--graph", str(graph), "--rho", "1/2", "--s", "6",
+            "--seed", "1", "--trials", "3", "--out", str(tmp_path / "r")]
+    assert run_cli(*argv, "--epsilon", "1/4") == 2
+    assert capsys.readouterr().err == \
+        "error: canonical-is takes no epsilon: it decides from --rho and --s\n"
+    assert not list(tmp_path.glob("r*"))
+    assert run_cli(*argv) == 0
+    report = tmp_path / ("r.json" if verb == "estimate" else "r")
+    assert json.loads(report.read_text())["config"]["epsilon"] is None
+
+
 @pytest.mark.parametrize("kind, field, value", [
     ("star", "iterations", [1]), ("star", "iterations", {}),
     ("star", "independent_set", 5), ("star", "graph", [1]),

@@ -1,6 +1,7 @@
 import itertools
 import pickle
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -407,19 +408,38 @@ def _fresh(h: Hypergraph) -> Hypergraph:
     return Hypergraph(h.q, h.n, h.edges, h.labels)
 
 
-def test_a_refusal_writes_no_memo_entry(monkeypatch):
+def _memo_caches(h: Hypergraph) -> dict:
+    """Every cache of h's generator memo, by field name."""
+    return {name: getattr(h._memo, name) for name in h._memo.__slots__
+            if isinstance(getattr(h._memo, name), dict)}
+
+
+def test_a_refusal_writes_no_memo_entry(monkeypatch, triangle_csp):
     """A cap is not part of a memo key: a refused call stores nothing, so the
-    same call under a larger cap computes its entry."""
+    same call under a larger cap computes its entry.  Every verifier that
+    reads the memo is refused once, and no memo field may hold anything."""
     edges = [(0, i, j) for i in range(1, 6) for j in range(i + 1, 7)]
     h = Hypergraph.from_edges(3, 7, edges)
-    monkeypatch.setattr(core, "PARTNER_CAP", 3)
+    csp = Csp(triangle_csp.n, triangle_csp.k, triangle_csp.q, triangle_csp.constraints)
+    trace = run_generator(_fresh(build_hypergraph(csp)), 3, (0, 3))
+    monkeypatch.setattr(core, "PARTNER_CAP", 1)
     with pytest.raises(WorkCapExceeded):
         deg_leq_n(h, range(7), 4, 0)
     with pytest.raises(WorkCapExceeded):
         run_generator(h, 4, (1,))
-    assert (h._memo.deg, h._memo.tables, h._memo.traces) == ({}, {}, {})
+    with pytest.raises(WorkCapExceeded):
+        check_closure(h, 4, (1,))
+    with pytest.raises(WorkCapExceeded):
+        verify_gcl_sat(csp, Fraction(1, 3), (0, 3))
+    with pytest.raises(WorkCapExceeded):
+        check_container_degree(replace(trace, hypergraph=build_hypergraph(csp)), 2, 3)
+    for host in (h, build_hypergraph(csp)):
+        caches = _memo_caches(host)
+        assert set(caches) == {"tables", "levels", "traces", "vars", "gcl", "records"}
+        assert all(cache == {} for cache in caches.values()), caches
     monkeypatch.undo()
     assert deg_leq_n(h, range(7), 4, 0).value == oracle_deg_leq_n(h, range(7), 4, 0)
+    assert verify_gcl_sat(csp, Fraction(1, 3), (0, 3)).ok
 
 
 def test_memo_keeps_the_bound_in_its_key():

@@ -9,14 +9,13 @@ from container_bench import (
     Graph,
     Hypergraph,
     WorkCapExceeded,
-    degree,
     enumerate_independent_sets,
     is_independent,
 )
 from container_bench import core
 from container_bench.core import as_mask, bits_of, comb_exceeds, mask_of
 
-from conftest import edge_lists, induced_subgraph, oracle_independent_sets
+from conftest import degree, edge_lists, induced_subgraph, oracle_independent_sets
 
 
 def small_graphs():

@@ -20,7 +20,8 @@ from container_bench import core
 from container_bench.core import bits_of, mask_of
 from container_bench.csp import Constraint, SatResult
 
-from conftest import assignment_of_vertex_set, falsified_count, oracle_min_falsified
+from conftest import (assignment_of_vertex_set, falsified_count, hyperedges_inside,
+                      oracle_min_falsified)
 
 
 def test_one_constraint_per_scope_merging():
@@ -214,7 +215,7 @@ def test_all_zero_assignment_induces_three_edges(triangle_csp):
     # all-zero assignment falsifies all three inequality constraints.
     h = build_hypergraph(triangle_csp)
     vs = assignment_vertex_set(triangle_csp, {0: 0, 1: 0, 2: 0})
-    assert h.edges_inside(mask_of(vs)) == 3
+    assert hyperedges_inside(h, mask_of(vs)) == 3
     assert falsified_count(triangle_csp, (0, 0, 0)) == 3
 
 
@@ -230,7 +231,7 @@ def test_observation_edge_count_equals_falsified_small_sweep():
         h = build_hypergraph(csp)
         for assignment in itertools.product(range(csp.k), repeat=csp.n):
             vs = assignment_vertex_set(csp, dict(enumerate(assignment)))
-            assert h.edges_inside(mask_of(vs)) == falsified_count(csp, assignment)
+            assert hyperedges_inside(h, mask_of(vs)) == falsified_count(csp, assignment)
 
 
 def test_satisfiable_iff_full_variable_distinct_independent_set(triangle_csp, nae_csp):
